@@ -379,7 +379,6 @@ def run_bench() -> dict:
     ctx.enable_progress_bars = False
     ctx.execution_options.verbose_progress = False
 
-    from documentconvert_ray.config import ExtractConfig
     from documentconvert_ray.pipelines.extract import (
         expand_input_files,
         run_extract_job,
@@ -402,11 +401,6 @@ def run_bench() -> dict:
     files = expand_input_files(d)
     warm_page_cache(files)
     out_dir = f"/tmp/documentconvert_ray/bench-out-{NUM_CPUS}"
-    # ~8% of rows are PDFs → the actor pool needs ~1/4 of the CPUs;
-    # oversizing it starves the (dominant) stateless HTML leg.
-    # min==max prestarts the pool (no autoscale ramp in the timing).
-    pool = max(2, NUM_CPUS // 4)
-    cfg = ExtractConfig(pdf_pool_min=pool, pdf_pool_max=pool)
     runs = []
     # best-of-3: the sandbox host shows ±40-60% contention windows
     # (12.7 s vs 29.7 s for the identical job 20 min apart); min over
@@ -414,7 +408,7 @@ def run_bench() -> dict:
     for _ in range(int(os.environ.get("BENCH_REPEATS", "3"))):
         shutil.rmtree(out_dir, ignore_errors=True)
         t0 = time.monotonic()
-        metrics = run_extract_job(d, out_dir, cfg, resume=False)
+        metrics = run_extract_job(d, out_dir, resume=False)
         runs.append(round(time.monotonic() - t0, 3))
     dt = min(runs)
     result["value"] = dt

@@ -50,16 +50,10 @@ class ExtractConfig:
     # rows with payload >= this many bytes are "elephants" → batch_size=1 leg
     elephant_bytes: int = 4 * 1024 * 1024
 
-    # ---- actor pool (PDF leg) ----
-    pdf_pool_min: int = 1
-    pdf_pool_max: int = 8
-    # ~8% of rows are PDFs: 128-row mixed batches carry ~10 PDFs each,
-    # enough parse work to amortize the per-batch actor call; elephants
-    # are split out separately (elephant_bytes)
+    # ---- PDF leg ----
+    # ~8% of rows are PDFs: 128-row mixed batches carry ~10 PDFs each;
+    # elephants are split out separately (elephant_bytes)
     pdf_batch_size: int = 128
-
-    # ---- HTML leg ----
-    html_batch_size: int = 256
 
     # ---- output transforms ----
     # opt-in PII redaction of the extracted markdown (emails / NANP
@@ -104,7 +98,7 @@ class ExtractConfig:
 
     def fingerprint(self) -> str:
         """Stable digest of the output-affecting config; part of every
-        partition manifest. Pool/batch sizing is excluded: the same
+        partition manifest. Batch sizing is excluded: the same
         input re-run at different parallelism must resume cleanly."""
         d = asdict(self)
         blob = json.dumps(

@@ -1,5 +1,5 @@
-"""The flagship extraction job: read → sniff+HTML → PDF actors → write,
-with per-shard lineage manifests and resume.
+"""The flagship extraction job: read → sniff+HTML → PDF → write, with
+per-shard lineage manifests and resume.
 
 Lifecycle mapping (SURVEY.md §3.4): the reference's API/poller/worker
 machinery collapses into one lazy Dataset pipeline; its DB-backed
@@ -200,7 +200,6 @@ def build_extract_ds(
     *,
     include_shard: bool = False,
     shard_of_path: dict[str, int] | None = None,
-    pdf_concurrency: tuple[int, int] | None = None,
 ) -> ray.data.Dataset:
     """Lazy Dataset of extraction results (OUTPUT_SCHEMA [+ shard])."""
     if shard_of_path:
@@ -224,48 +223,39 @@ def build_extract_ds(
         columns=["url", "warc_ts", "html", "lang"],  # prune: `text` unused
         include_paths=include_shard,
         # one read task per input shard: without this Ray inserts a
-        # SplitBlocks op (to hit its min-block-count heuristic), which
-        # BLOCKS read→map fusion — payload bytes would round-trip
-        # through the object store before extraction. With it the plan
-        # fuses to ReadParquet->MapBatches(SniffAndExtractHtml), so
-        # payloads go straight from the parquet reader into the
-        # extractor (~10% wall, and one less copy of the whole corpus
-        # through plasma). Deployment note: keep input shards at
-        # ~128-256 MB so the fused batch stays block-sized.
+        # SplitBlocks op (to hit its min-block-count heuristic) and
+        # reads in more, smaller tasks. ReadParquet stays its own
+        # operator: the PDF leg's batch_size keeps Ray from fusing the
+        # read into the extraction operator below, and fusing it
+        # (batch_size=None on the PDF leg) measured slower.
         override_num_blocks=max(1, len(read_paths)),
     )
+    # Every extraction stage is a stateless task stage with default
+    # resources, so Ray fuses stage 1, both PDF legs and the
+    # ShardWriter into ONE operator: no block is materialized in the
+    # object store between them, and the operator runs on as many
+    # CPUs as are free. Keep it actor-free: an actor pool holds its
+    # CPUs until the Dataset is garbage-collected, and under
+    # num_cpus=1 it takes the CPU the read needs (deadlock).
     # batch_size=None → whole read blocks: payload bytes are consumed
-    # block-at-a-time (zero-copy from the object store), never
-    # re-sliced into small batches
+    # block-at-a-time, never re-sliced into small batches
     ds = ds.map_batches(
         SniffAndExtractHtml(cfg, shard_of_path if include_shard else None),
         batch_format="pyarrow",
         batch_size=None,
     )
     ds = ds.map_batches(
-        PdfExtractor,
-        fn_constructor_args=(cfg,),
+        PdfExtractor(cfg),
         batch_format="pyarrow",
         batch_size=cfg.pdf_batch_size,
-        concurrency=pdf_concurrency or (cfg.pdf_pool_min, cfg.pdf_pool_max),
-        num_cpus=1,
-        # Per-actor heap reservation for PDF parse buffers. Also
-        # load-bearing for scheduling: a differing remote arg keeps
-        # Ray from fusing the stateless HTML task stage INTO this actor
-        # pool (fusion would cap ALL extraction at pdf_pool_max actors
-        # and idle the remaining CPUs — measured 0.48 scaling efficiency
-        # fused vs ~0.9 unfused).
-        memory=512 * 1024 * 1024,
     )
     # Elephant leg (SURVEY.md §4.3.2): oversized PDFs arrive as
-    # single-row blocks from the stage above, so each giant PDF gets
-    # its own task here and can never stall a mixed batch. This is a
-    # STATELESS TASK stage on purpose: tasks scale elastically with
-    # free CPUs, and for the (overwhelmingly common) payload-free
-    # blocks it is a null-check pass-through — a small dedicated actor
-    # pool here was measured to choke the whole stream (every block
-    # must cross this stage, and generator backpressure then blocked
-    # the upstream PDF actors: 207 s vs ~35 s wall at 8 CPUs).
+    # single-row blocks from the stage above (batch_size=None keeps
+    # that granularity), after the rest of their batch has moved on;
+    # for every other block it is a null-check pass-through. It stays
+    # fused: an operator boundary here gave no gain with four planted
+    # 1-2.7 MB PDFs (Ray hands a task's output blocks to ONE
+    # downstream task, so elephants never got a task each anyway).
     ds = ds.map_batches(
         PdfExtractor(cfg, elephant_leg=True),
         batch_format="pyarrow",
@@ -629,7 +619,6 @@ def run_extract_job(
     cfg: ExtractConfig = DEFAULT_CONFIG,
     *,
     resume: bool = True,
-    pdf_concurrency: tuple[int, int] | None = None,
     stats_sink=None,
 ) -> dict:
     """Run (or resume) the extraction job; returns global metrics.
@@ -676,9 +665,7 @@ def run_extract_job(
     if todo:
         mf.clean_partial_shards(out_dir, set(todo.values()))
         ds = build_extract_ds(
-            list(todo), cfg, include_shard=True, shard_of_path=shards,
-            pdf_concurrency=pdf_concurrency,
-        )
+            list(todo), cfg, include_shard=True, shard_of_path=shards)
         # single pass: ShardWriter writes the data AND returns the
         # partial stats; the consumed result is one tiny row per
         # (block, shard), never the data itself

@@ -1,23 +1,23 @@
-"""Extraction stages: sniff+HTML (stateless) and PDF (actor pool).
+"""Extraction stages: sniff+HTML and PDF, both stateless.
 
 Pipeline shape (SURVEY.md §7.0, single linear stream — no branch
 re-execution, no mid-pipeline materialization):
 
     read_parquet(shards, include_paths=True)
-      → map_batches(sniff_and_extract_html)        # stateless tasks
-      → map_batches(PdfExtractor, concurrency=(m,n), batch_size=small)
-      → write_parquet(out, partition_cols=["shard"])
+      → map_batches(SniffAndExtractHtml(cfg))       # whole read blocks
+      → map_batches(PdfExtractor(cfg), batch_size=small)
+      → map_batches(PdfExtractor(cfg, elephant_leg=True))
+      → map_batches(ShardWriter)
+
+All four are plain task stages, which Ray fuses into one operator.
 
 Stage 1 sniffs content type (reference dispatcher semantics,
 services/document_service.py:83-126 — but on magic bytes, not
 extensions), runs the cheap HTML leg inline (ms/doc), emits error rows
 for junk (reference error-artifact semantics,
 services/document_service.py:347-383), and passes PDF payloads through
-unprocessed. Stage 2 is the stateful leg: a warm-parser actor pool —
-the analogue of the reference holding MinerU model weights process-wide
-with MAX_CONCURRENT_TASKS workers (enhanced_task_processor.py:42;
-SURVEY.md §2.3 ST1). PDF rows are finished there and the payload column
-is dropped, so heavy bytes never travel past the stage that needs them.
+unprocessed. Stage 2 finishes the PDF rows and drops the payload
+column, so heavy bytes never travel past the stage that needs them.
 
 Batches are `pyarrow` end-to-end (zero-copy from the object store); the
 per-row python extractor calls are the useful compute, not overhead.
@@ -285,7 +285,7 @@ class SniffAndExtractHtml:
                         {"name": nm, "data": d} for nm, d in res.images]
                 cols["text_sha256"][i] = _sha256(res.text_md)
             elif dt == DOC_PDF:
-                pdf_payloads[i] = raw  # finished by the actor stage
+                pdf_payloads[i] = raw  # finished by PdfExtractor
             elif dt == DOC_OFFICE:
                 if raw.startswith(b"\xd0\xcf\x11\xe0"):
                     # legacy OLE2 (.doc/.xls/.ppt): parsed directly
@@ -346,79 +346,60 @@ class SniffAndExtractHtml:
 
 
 class PdfExtractor:
-    """Stage 2 (actor pool): finish PDF rows, keeping the payload only
-    for elephants (oversized PDFs), which the dedicated elephant leg
-    finishes at single-row granularity.
-
-    One actor = one warm parser context (reference ST1: MinerU weights
-    held process-wide; pool size = the MAX_CONCURRENT_TASKS analogue,
-    README.md:175). __init__ does the once-per-actor setup; __call__
-    only parses.
+    """Stage 2 (stateless): finish PDF rows, keeping the payload only
+    for elephants (oversized PDFs), which the elephant leg finishes at
+    single-row granularity. A callable instance, so the config is
+    bound once.
 
     Skew handling (SURVEY.md §4.3.2): rows whose payload is ≥
     ``cfg.elephant_bytes`` are NOT parsed here — they are yielded as
     their own single-row output blocks so one multi-hundred-page PDF
-    can never serialize a whole batch behind it. The elephant leg
-    (``elephant_leg=True``) is a stateless TASK stage that receives
-    those single-row blocks (batch_size=None preserves block
-    granularity) and finishes each in its own elastic task; for every
-    other block it is a null-check pass-through.
+    never enlarges a mixed batch. The elephant leg
+    (``elephant_leg=True``) receives those single-row blocks
+    (batch_size=None preserves block granularity) and finishes each
+    one; for every other block it is a null-check pass-through.
     """
 
     def __init__(self, cfg: ExtractConfig = DEFAULT_CONFIG,
                  elephant_leg: bool = False) -> None:
         self.cfg = cfg
         self.elephant_leg = elephant_leg
-        # warm the regex/zlib machinery once per actor
-        from ..functions import pdf_extract as _px  # noqa: F401
 
-    def _finish(self, batch: pa.Table, parse_mask: list[bool],
-                drop_payload: bool) -> pa.Table:
-        """Parse payload rows selected by mask; null their payload (or
-        drop the column entirely when this is the last pdf stage)."""
-        payloads = batch.column(_PDF_PAYLOAD_COL).to_pylist()
-        ok = batch.column("ok").to_pylist()
-        error_kind = batch.column("error_kind").to_pylist()
-        error = batch.column("error").to_pylist()
-        text_md = batch.column("text_md").to_pylist()
-        spans = batch.column("spans").to_pylist()
-        images = batch.column("images").to_pylist()
-        sha = batch.column("text_sha256").to_pylist()
-
-        for i, raw in enumerate(payloads):
-            if raw is None or not parse_mask[i]:
-                continue
-            res = extract_pdf(raw, self.cfg)
-            ok[i] = res.ok
-            error_kind[i] = res.error_kind
-            error[i] = res.error
-            text_md[i] = res.text_md
-            spans[i] = res.spans
-            images[i] = [{"name": nm, "data": d} for nm, d in res.images]
-            sha[i] = _sha256(res.text_md)
-            payloads[i] = None
-
-        out = batch.drop_columns(
-            [_PDF_PAYLOAD_COL, "ok", "error_kind", "error", "text_md", "spans",
-             "images", "text_sha256", "n_md_bytes"]
-        )
-        md_arr = pa.array(text_md, pa.string())
+    def _finish(self, batch: pa.Table) -> pa.Table:
+        """Parse every row that still carries a payload and null its
+        payload (the elephant leg, the last pdf stage, drops the column
+        instead). Only the payload rows round-trip through Python; they
+        are spliced back among the others in their input order, which
+        ShardWriter's content-addressed part names depend on."""
+        has_pdf = pc.is_valid(batch.column(_PDF_PAYLOAD_COL))
+        no_pdf = pc.invert(has_pdf)
+        pdfs = batch.filter(has_pdf)
+        res = [extract_pdf(raw, self.cfg)
+               for raw in pdfs.column(_PDF_PAYLOAD_COL).to_pylist()]
+        md_arr = pa.array([r.text_md for r in res], pa.string())
         for name, arr in (
-            ("ok", pa.array(ok, pa.bool_())),
-            ("error_kind", pa.array(error_kind, pa.string())),
-            ("error", pa.array(error, pa.string())),
+            ("ok", pa.array([r.ok for r in res], pa.bool_())),
+            ("error_kind", pa.array([r.error_kind for r in res], pa.string())),
+            ("error", pa.array([r.error for r in res], pa.string())),
             ("text_md", md_arr),
-            ("spans", pa.array(spans, SPAN_TYPE)),
-            ("images", pa.array(images, IMAGE_TYPE)),
-            ("text_sha256", pa.array(sha, pa.string())),
+            ("spans", pa.array([r.spans for r in res], SPAN_TYPE)),
+            ("images", pa.array(
+                [[{"name": nm, "data": d} for nm, d in r.images]
+                 for r in res], IMAGE_TYPE)),
+            ("text_sha256", pa.array(
+                [_sha256(r.text_md) for r in res], pa.string())),
             ("n_md_bytes", pc.binary_length(md_arr).cast(pa.int64())),
+            (_PDF_PAYLOAD_COL, pa.nulls(len(res), pa.binary())),
         ):
-            out = out.append_column(name, arr)
-        if not drop_payload:
-            out = out.append_column(
-                _PDF_PAYLOAD_COL, pa.array(payloads, pa.binary())
-            )
-        return out
+            pdfs = pdfs.set_column(
+                pdfs.schema.get_field_index(name), name, arr)
+        out = pa.concat_tables([batch.filter(no_pdf), pdfs])
+        # row j of ``out`` is input row src[j]; argsort(src) undoes it
+        src = pa.concat_arrays([pc.indices_nonzero(no_pdf),
+                                pc.indices_nonzero(has_pdf)])
+        out = out.take(pc.sort_indices(src))
+        return (out.drop_columns([_PDF_PAYLOAD_COL]) if self.elephant_leg
+                else out)
 
     def __call__(self, batch: pa.Table):
         if _PDF_PAYLOAD_COL not in batch.column_names:
@@ -432,33 +413,18 @@ class PdfExtractor:
 
         if self.elephant_leg:
             # finish everything that still carries a payload
-            yield self._finish(
-                batch, [True] * batch.num_rows, drop_payload=True
-            )
+            yield self._finish(batch)
             return
 
-        payloads = payload_col.to_pylist()
-        is_elephant = [
-            raw is not None and len(raw) >= self.cfg.elephant_bytes
-            for raw in payloads
-        ]
-        parse_mask = [
-            raw is not None and not el
-            for raw, el in zip(payloads, is_elephant)
-        ]
-        if not any(is_elephant):
-            yield self._finish(batch, parse_mask, drop_payload=False)
+        is_elephant = pc.fill_null(pc.greater_equal(
+            pc.binary_length(payload_col), self.cfg.elephant_bytes), False)
+        if not pc.any(is_elephant).as_py():
+            yield self._finish(batch)
             return
 
-        keep = pa.array([not e for e in is_elephant])
-        main = batch.filter(keep)
+        main = batch.filter(pc.invert(is_elephant))
         if main.num_rows:
-            yield self._finish(
-                main, [m for m, e in zip(parse_mask, is_elephant) if not e],
-                drop_payload=False,
-            )
-        # one single-row block per elephant → the elephant pool picks
-        # each up independently (no head-of-line blocking)
-        for i, el in enumerate(is_elephant):
-            if el:
-                yield batch.slice(i, 1)
+            yield self._finish(main)
+        # one single-row block per elephant, finished by the elephant leg
+        for i in pc.indices_nonzero(is_elephant).to_pylist():
+            yield batch.slice(i, 1)

@@ -1,14 +1,20 @@
 """E2E golden tests: full Ray pipeline vs frozen fixtures (FIXTURES.md §5).
 
-Byte-identical text_md per url at any batch size / partition count /
-actor concurrency, row conservation, and resume correctness — the
-operational form of the north_rule's "byte-identical extracted text
-per url" invariant.
+Byte-identical text_md per url at any batch size / partition count,
+row conservation, resume correctness, and a job that runs on one CPU
+and frees every CPU when it returns — the operational form of the
+north_rule's "byte-identical extracted text per url" invariant.
 """
 
+import gc
 import glob
 import os
 import shutil
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 
 import pyarrow.dataset as pads
 import pytest
@@ -60,10 +66,10 @@ def test_e2e_default_config(ray_session, expected_by_url):
     _check_against_fixtures(rows, expected_by_url)
 
 
-@pytest.mark.parametrize("html_bs,pdf_bs,conc", [(1, 1, (1, 1)), (17, 3, (1, 4))])
-def test_e2e_batch_size_invariance(ray_session, expected_by_url, html_bs, pdf_bs, conc):
-    cfg = ExtractConfig(html_batch_size=html_bs, pdf_batch_size=pdf_bs)
-    ds = build_extract_ds(corpus_files(), cfg, pdf_concurrency=conc)
+@pytest.mark.parametrize("pdf_bs", [1, 3])
+def test_e2e_batch_size_invariance(ray_session, expected_by_url, pdf_bs):
+    cfg = ExtractConfig(pdf_batch_size=pdf_bs)
+    ds = build_extract_ds(corpus_files(), cfg)
     rows = _collect(ds)
     _check_against_fixtures(rows, expected_by_url)
 
@@ -85,7 +91,7 @@ def test_part_column_is_url_hash(ray_session):
 
 def test_e2e_elephant_routing(ray_session, expected_by_url):
     """Skew leg: with a tiny elephant threshold every sizable PDF is
-    re-routed through the single-row elephant pool — output must stay
+    re-routed through the single-row elephant leg — output must stay
     byte-identical (SURVEY.md §4.3.2)."""
     cfg = ExtractConfig(elephant_bytes=2000)
     ds = build_extract_ds(corpus_files(), cfg)
@@ -188,17 +194,13 @@ def test_empty_input_is_noop_and_missing_raises(ray_session, tmp_path):
 
 
 def test_resume_across_parallelism_change(ray_session, tmp_path):
-    """Execution sizing (pool/batch) is not part of the manifest
+    """Execution sizing (batch size) is not part of the manifest
     fingerprint: a rerun at different parallelism resumes cleanly."""
     out_dir = str(tmp_path / "out")
     m1 = run_extract_job(
-        CORPUS_DIR, out_dir,
-        ExtractConfig(pdf_pool_min=1, pdf_pool_max=1, pdf_batch_size=4),
-    )
+        CORPUS_DIR, out_dir, ExtractConfig(pdf_batch_size=4))
     m2 = run_extract_job(
-        CORPUS_DIR, out_dir,
-        ExtractConfig(pdf_pool_min=2, pdf_pool_max=4, pdf_batch_size=64),
-    )
+        CORPUS_DIR, out_dir, ExtractConfig(pdf_batch_size=64))
     assert m2["processed_shards"] == 0
     assert m2["resumed_shards"] == m1["processed_shards"]
     assert m2["rows"] == m1["rows"]
@@ -216,8 +218,58 @@ def test_row_order_independence(ray_session, expected_by_url):
 
     ds = ds.map_batches(SniffAndExtractHtml(DEFAULT_CONFIG),
                         batch_format="pyarrow", batch_size=64)
-    ds = ds.map_batches(PdfExtractor, fn_constructor_args=(DEFAULT_CONFIG,),
-                        batch_format="pyarrow", batch_size=8, concurrency=(1, 2),
-                        num_cpus=1)
+    ds = ds.map_batches(PdfExtractor(DEFAULT_CONFIG),
+                        batch_format="pyarrow", batch_size=8)
     rows = _collect(ds)
     _check_against_fixtures(rows, expected_by_url)
+
+
+def test_job_finishes_on_one_cpu(tmp_path, expected_by_url):
+    """Under ray.init(num_cpus=1) the job completes: no stage may hold
+    the only CPU while the read waits for it. Runs in a child process
+    with its own Ray session, so a hang fails by timeout instead of
+    stalling the suite; workers find the package via PYTHONPATH."""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = textwrap.dedent(f"""
+        import ray
+        ray.init(address="local", num_cpus=1, include_dashboard=False,
+                 logging_level="ERROR",
+                 object_store_memory=128 * 1024 * 1024)
+        from documentconvert_ray.pipelines.extract import run_extract_job
+        print(run_extract_job({CORPUS_DIR!r}, {str(tmp_path / "out")!r})["rows"])
+        ray.shutdown()
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (repo, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code], env=env, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=90)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("extract job still running after 90 s at num_cpus=1")
+    assert proc.returncode == 0, err[-2000:]
+    assert int(out.split()[-1]) == len(expected_by_url)
+
+
+def test_job_releases_cpus(ray_session, tmp_path):
+    """After each of three back-to-back jobs every CPU is free again,
+    without waiting for garbage collection (the resource view lags a
+    release by ~0.1 s, hence the short poll)."""
+    gc.collect()  # drop what earlier tests left to the collector
+
+    def free_cpus(want: float, wait_s: float) -> float:
+        deadline = time.monotonic() + wait_s
+        while True:
+            got = ray_session.available_resources().get("CPU", 0.0)
+            if got >= want or time.monotonic() > deadline:
+                return got
+            time.sleep(0.05)
+
+    total = free_cpus(ray_session.cluster_resources()["CPU"], 10.0)
+    for k in range(3):
+        run_extract_job(CORPUS_DIR, str(tmp_path / f"out{k}"))
+        assert free_cpus(total, 2.0) >= total, f"job {k} kept a CPU"
