@@ -1,38 +1,25 @@
-"""Benchmark harness (driver contract).
+"""Query battery timings: representative registry
+queries over the $GRAFT_SF_DIR tables, timed one after another in one
+Ray session. Prints ONE JSON line. The extraction benchmark is
+``extractbench/`` (see its README).
 
-Headline: end-to-end extraction job (read → sniff+HTML → PDF actors →
-partitioned write + manifests) over a cached deterministic synthetic
-web corpus; plus representative query timings over $GRAFT_SF_DIR
-tables. Prints ONE JSON line.
-
-  python bench.py             # $RAY_GRAFT_CPUS (default 32), $GRAFT_SF_DIR
-  python bench.py --scaling   # fresh 8-cpu and 32-cpu subprocesses on the
-                              # same input → throughputs + efficiency
+  python bench.py             # $RAY_GRAFT_CPUS (default: os.cpu_count())
   python bench.py --battery-budget 120   # timebox the query battery:
                               # never-driver-checked + previous-round
                               # slowest-10 run first, skipped queries
                               # reported under "queries_skipped"
-
-Corpus generation and OS page-cache warmup are untimed (guide:
-measure compute + shuffle, not the first disk read).
+  BENCH_ONLY_QUERY=<name> python bench.py   # time one query
 """
 
 from __future__ import annotations
 
 import json
 import os
-import shutil
-import subprocess
 import sys
 import time
 
-BENCH_CORPUS_ROWS = int(os.environ.get("BENCH_CORPUS_ROWS", "100000"))
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
-# The 32-CPU extraction floor is ramp-bound below ~300k docs
-# (BASELINE.md), so scaling evidence uses a >=300k corpus regardless
-# of the headline corpus size (VERDICT r2 #6).
-SCALING_ROWS = max(300_000, BENCH_CORPUS_ROWS)
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", str(os.cpu_count() or 1)))
 
 QUERY_NAMES = [
     # r3-era battery FIRST, in its round-3 run order: these are the
@@ -268,76 +255,36 @@ def battery_order(budget: float) -> list[str]:
     return out
 
 
-def corpus_dir() -> str:
-    from documentconvert_ray import ENGINE_VERSION
-
-    return f"/tmp/documentconvert_ray/bench-corpus-v{ENGINE_VERSION}-{BENCH_CORPUS_ROWS}"
-
-
-def scaling_corpus_dir() -> str:
-    from documentconvert_ray import ENGINE_VERSION
-
-    return (f"/tmp/documentconvert_ray/"
-            f"bench-corpus-v{ENGINE_VERSION}-{SCALING_ROWS}")
-
-
-def ensure_corpus(d: str | None = None, rows: int | None = None) -> str:
-    """Generate a bench corpus once (parallel ray tasks, untimed)."""
+def _init_ray() -> None:
     import ray
 
-    d = d or corpus_dir()
-    rows = rows or BENCH_CORPUS_ROWS
-    marker = os.path.join(d, "_DONE")
-    if os.path.exists(marker):
-        return d
-    shutil.rmtree(d, ignore_errors=True)
-    os.makedirs(d, exist_ok=True)
+    ray.init(
+        address="local",
+        num_cpus=NUM_CPUS,
+        include_dashboard=False,
+        ignore_reinit_error=True,
+        logging_level="ERROR",
+        # The raylet's idle-worker soft cap defaults to num_cpus TOTAL
+        # processes; every actor-pool query then evicts the plain task
+        # workers, and the next task query repays worker spawn + numpy/
+        # pandas import INSIDE its timing (measured: token_counts 0.6 s
+        # warm vs 6.1 s right after a heavy actor stage). Raising the
+        # cap keeps both populations resident across a mixed battery.
+        _system_config={"num_workers_soft_limit": NUM_CPUS * 5},
+    )
+    from ray.data import DataContext
 
-    from documentconvert_ray.sources.corpus import make_corpus_table
-
-    # 100 shards at the default 100k rows: read-task granularity must
-    # exceed max parallelism several-fold (real CC crawls have ~100k
-    # shards; a handful of fat files caps the fused read+extract stage)
-    rows_per_file = 1000
-
-    @ray.remote
-    def gen_shard(start: int, cnt: int) -> str:
-        import pyarrow.parquet as pq
-
-        tbl = make_corpus_table(cnt, start_id=start)
-        fp = os.path.join(d, f"corpus-{start:09d}.parquet")
-        pq.write_table(tbl, fp)
-        return fp
-
-    futs = [
-        gen_shard.remote(s, min(rows_per_file, rows - s))
-        for s in range(0, rows, rows_per_file)
-    ]
-    ray.get(futs)
-    with open(marker, "w") as f:
-        f.write("ok")
-    return d
-
-
-def warm_page_cache(paths: list[str]) -> None:
-    for p in paths:
-        with open(p, "rb") as f:
-            while f.read(1 << 22):
-                pass
+    ctx = DataContext.get_current()
+    ctx.enable_progress_bars = False
+    ctx.execution_options.verbose_progress = False
 
 
 def run_only_query(name: str) -> dict:
-    """Time ONE query pipeline (used by the query-scaling subprocess
-    legs; ray.init/import overhead stays outside the timed window)."""
+    """Time ONE query pipeline (ray.init/import overhead stays outside
+    the timed window)."""
     import ray
 
-    ray.init(address="local", num_cpus=NUM_CPUS,
-             include_dashboard=False, logging_level="ERROR",
-             _system_config={"num_workers_soft_limit": NUM_CPUS * 5})
-    from ray.data import DataContext
-
-    DataContext.get_current().enable_progress_bars = False
-
+    _init_ray()
     from documentconvert_ray.pipelines.queries import queries
 
     fn = queries()[name]
@@ -357,70 +304,16 @@ def run_only_query(name: str) -> dict:
 def run_bench() -> dict:
     import ray
 
-    ray.init(
-        address="local",
-        num_cpus=NUM_CPUS,
-        include_dashboard=False,
-        ignore_reinit_error=True,
-        logging_level="ERROR",
-        # The raylet's idle-worker soft cap defaults to num_cpus TOTAL
-        # processes; every actor-pool query then evicts the plain task
-        # workers, and the next task query repays worker spawn + numpy/
-        # pandas import INSIDE its timing (measured: token_counts 0.6 s
-        # warm vs 6.1 s right after a heavy actor stage). Raising the
-        # cap keeps both populations resident across a mixed battery —
-        # ~150 idle python workers ≈ 20 GB on a 128 GB host, fine here;
-        # a production cluster sizes this per node instead.
-        _system_config={"num_workers_soft_limit": NUM_CPUS * 5},
-    )
-    from ray.data import DataContext
-
-    ctx = DataContext.get_current()
-    ctx.enable_progress_bars = False
-    ctx.execution_options.verbose_progress = False
-
-    from documentconvert_ray.pipelines.extract import (
-        expand_input_files,
-        run_extract_job,
-    )
+    _init_ray()
     from documentconvert_ray.pipelines.queries import queries
 
     result: dict = {
-        "metric": "extract_e2e_sec",
+        "metric": "query_battery_sec",
         "unit": "sec",
         "sf": SF_DIR,
         "num_cpus": NUM_CPUS,
-        "corpus_rows": BENCH_CORPUS_ROWS,
         "queries": {},
     }
-
-    # ---- headline: extraction job (best of N runs: the sandbox host
-    # shows ±40% I/O-noise run-to-run; min is the standard estimator
-    # for the machine's actual capability)
-    d = ensure_corpus()
-    files = expand_input_files(d)
-    warm_page_cache(files)
-    out_dir = f"/tmp/documentconvert_ray/bench-out-{NUM_CPUS}"
-    runs = []
-    # best-of-3: the sandbox host shows ±40-60% contention windows
-    # (12.7 s vs 29.7 s for the identical job 20 min apart); min over
-    # three runs is the standard estimator for machine capability
-    for _ in range(int(os.environ.get("BENCH_REPEATS", "3"))):
-        shutil.rmtree(out_dir, ignore_errors=True)
-        t0 = time.monotonic()
-        metrics = run_extract_job(d, out_dir, resume=False)
-        runs.append(round(time.monotonic() - t0, 3))
-    dt = min(runs)
-    result["value"] = dt
-    result["runs"] = runs
-    result["docs_per_sec"] = round(metrics["rows"] / dt, 1)
-    result["extract_rows"] = metrics["rows"]
-    result["extract_errors"] = metrics["errors"]
-
-    # ---- representative queries over the sf tables
-    if os.environ.get("BENCH_QUERIES", "1") == "0":
-        ray.shutdown()
-        return result
     qs = queries()
     # --battery-budget S / $BENCH_BATTERY_BUDGET: timebox the battery;
     # priority queries run first and anything cut is REPORTED (no
@@ -447,193 +340,14 @@ def run_bench() -> dict:
             res.count()
         result["queries"][name] = round(time.monotonic() - t0, 3)
 
-    # ---- scaling efficiency IN the default output (VERDICT r2 #6):
-    # pre-generate the >=300k-doc scaling corpus with this session's
-    # CPUs, release the session, then run the interleaved 8/32 pairs
-    # in fresh subprocesses
-    if os.environ.get("BENCH_SCALING", "1") != "0":
-        ensure_corpus(scaling_corpus_dir(), SCALING_ROWS)
-        ray.shutdown()
-        scaling = _scaling_pairs()
-        result["efficiency"] = scaling["scaling_efficiency"]
-        result["scaling"] = scaling
-    else:
-        ray.shutdown()
-    return result
-
-
-def _scaling_pairs() -> dict:
-    """Same job, fresh processes, 8 vs 32 cpus (stand-in for N vs 4N
-    nodes — SURVEY.md §4.3.6), over the >=300k-doc scaling corpus
-    (the 32-CPU side is ramp-bound below that — BASELINE.md).
-
-    The sandbox host's run-to-run noise (±40%) would otherwise dominate
-    the ratio when the two configs sample different noise windows, so
-    the pair is run INTERLEAVED (8, 32, 8, 32 — $SCALING_PAIRS pairs)
-    and each side takes its best: both sides sample the same windows.
-    Each subprocess runs the job ONCE (BENCH_REPEATS=1); repetition
-    comes from the pairs themselves."""
-
-    def one(ncpu: int) -> dict:
-        env = dict(
-            os.environ,
-            RAY_GRAFT_CPUS=str(ncpu),
-            GRAFT_SF_DIR=SF_DIR,
-            BENCH_CORPUS_ROWS=str(SCALING_ROWS),
-            BENCH_QUERIES="0",   # scaling scores the extraction job only
-            BENCH_SCALING="0",   # no recursion
-            BENCH_REPEATS="1",
-        )
-        out = subprocess.run(
-            [sys.executable, os.path.abspath(__file__)],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
-        return json.loads(out.strip().splitlines()[-1])
-
-    lo, hi = 8, 32
-    pairs = int(os.environ.get("SCALING_PAIRS", "2"))
-    lo_secs, hi_secs = [], []
-    lo_tp, hi_tp = [], []
-    for _ in range(pairs):
-        r_lo = one(lo)
-        r_hi = one(hi)
-        lo_secs.append(r_lo["value"])
-        hi_secs.append(r_hi["value"])
-        lo_tp.append(r_lo["docs_per_sec"])
-        hi_tp.append(r_hi["docs_per_sec"])
-    best_lo, best_hi = min(lo_secs), min(hi_secs)
-    eff = (best_lo / best_hi) / (hi / lo)
-    out = {
-        "metric": "scaling_efficiency",
-        "unit": "ratio",
-        "sf": SF_DIR,
-        "corpus_rows": SCALING_ROWS,
-        f"sec_{lo}": best_lo,
-        f"sec_{hi}": best_hi,
-        f"sec_{lo}_runs": lo_secs,
-        f"sec_{hi}_runs": hi_secs,
-        f"docs_per_sec_{lo}": max(lo_tp),
-        f"docs_per_sec_{hi}": max(hi_tp),
-        "scaling_efficiency": round(eff, 3),
-        "value": round(eff, 3),
-    }
-
-    # query-side scaling: the same interleaved 8/32 protocol over one
-    # shuffle-heavy query pipeline, so the two-cluster-size evidence
-    # covers the QUERY engine, not just the extraction job. Input is a
-    # deterministic ×N sharded expansion of the sf documents table:
-    # at the raw sf sizes every all-to-all's FIXED barrier latency
-    # dominates and efficiency reads ~0.45 regardless of the query; at
-    # ~1M docs the barriers amortize (measured 0.96 for simhash 8→32).
-    qname = os.environ.get("SCALING_QUERY", "simhash_near_dups")
-    if qname != "0":
-        qdir = _query_scaling_corpus()
-        q_pairs = int(os.environ.get("SCALING_QUERY_PAIRS", "2"))
-
-        def one_q(ncpu: int) -> dict:
-            env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu),
-                       GRAFT_SF_DIR=qdir, BENCH_ONLY_QUERY=qname,
-                       BENCH_REPEATS="1")
-            o = subprocess.run(
-                [sys.executable, os.path.abspath(__file__)],
-                env=env, capture_output=True, text=True, check=True,
-            ).stdout
-            return json.loads(o.strip().splitlines()[-1])
-
-        ql, qh = [], []
-        for _ in range(q_pairs):
-            ql.append(one_q(lo)["value"])
-            qh.append(one_q(hi)["value"])
-        q_eff = (min(ql) / min(qh)) / (hi / lo)
-        out["query_scaling"] = {
-            "query": qname,
-            "input": qdir,
-            f"sec_{lo}": min(ql), f"sec_{hi}": min(qh),
-            f"sec_{lo}_runs": ql, f"sec_{hi}_runs": qh,
-            "scaling_efficiency": round(q_eff, 3),
-        }
-    return out
-
-
-QSCALE_GEN_V = 2  # bump when the generator below changes: the corpus is
-# cached under a versioned dir so a code change can never be measured
-# against a stale on-disk corpus (the v1 suffix-only corpus was).
-
-
-def _query_scaling_corpus() -> str:
-    """Deterministic ×N sharded expansion of the sf documents table
-    with a REALISTIC web-dedup structure: ~17% of replicas sit in
-    4-doc near-dup clusters (shared mutation seed, tiny per-member
-    suffix); the rest are mutated apart (every 2nd word replaced with
-    a seed-derived positional token: measured min cross-seed simhash
-    hamming 6 > the ≤3 near-dup cutoff, while same-seed cluster
-    members differ by one token). The v1 suffix-only expansion made EVERY replica
-    of a base doc a near-dup of every other — 200-way cliques,
-    ~6.1M output pairs at ×200 — an adversarial corpus that measures
-    pair-emission fanout, not the realistic all-to-all band shuffle.
-    Sharded one file per replica: a single fat file is a 1-task
-    serial read that gates every downstream stage."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    n = int(os.environ.get("SCALING_QUERY_X", "200"))
-    root = (f"/tmp/documentconvert_ray/qscale-v{QSCALE_GEN_V}-x{n}-"
-            f"{os.path.basename(SF_DIR)}")
-    marker = os.path.join(root, "_DONE")
-    if os.path.exists(marker):
-        return root
-    shutil.rmtree(root, ignore_errors=True)
-    d = os.path.join(root, "documents.parquet")
-    os.makedirs(d)
-    src = pq.read_table(os.path.join(SF_DIR, "documents.parquet"))
-    did = src.schema.get_field_index("doc_id")
-    tid = src.schema.get_field_index("text")
-    ids = src.column("doc_id").to_numpy()
-    base_words = [t.split() for t in src.column("text").to_pylist()]
-
-    def mutate(seed: str, suffix: str) -> pa.Array:
-        out = []
-        for words in base_words:
-            w = list(words)
-            w[::2] = [f"{seed}w{j}" for j in range(len(w[::2]))]
-            w.append(suffix)
-            out.append(" ".join(w))
-        return pa.array(out)
-
-    for i in range(n):
-        cluster, member = divmod(i, 4)
-        if cluster % 6 == 0:  # 4-doc near-dup cluster (~17% of docs)
-            text = mutate(f"c{cluster}", f"m{member}")
-        else:  # unique replica: no shingle overlap with any other seed
-            text = mutate(f"r{i}", "m0")
-        t = src.set_column(did, "doc_id", pa.array(ids + i * 10_000_000))
-        t = t.set_column(tid, "text", text)
-        pq.write_table(t, os.path.join(d, f"shard-{i:04d}.parquet"))
-    with open(marker, "w") as f:
-        f.write("ok")
-    return root
-
-
-def run_scaling() -> dict:
-    """Standalone --scaling entry: generate the scaling corpus with a
-    full-width throwaway session, then run the interleaved pairs."""
-    import ray
-
-    ray.init(address="local", num_cpus=NUM_CPUS,
-             include_dashboard=False, logging_level="ERROR")
-    ensure_corpus(scaling_corpus_dir(), SCALING_ROWS)
+    result["value"] = round(sum(result["queries"].values()), 3)
     ray.shutdown()
-    return _scaling_pairs()
+    return result
 
 
 if __name__ == "__main__":
     if os.environ.get("BENCH_ONLY_QUERY"):
         print(json.dumps(run_only_query(os.environ["BENCH_ONLY_QUERY"]),
                          sort_keys=True))
-    elif "--scaling" in sys.argv:
-        print(json.dumps(run_scaling(), sort_keys=True))
     else:
         print(json.dumps(run_bench(), sort_keys=True))

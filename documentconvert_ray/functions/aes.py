@@ -4,10 +4,8 @@ the PDF standard security handler's /AESV2 (AES-128) and /AESV3
 Implemented from FIPS-197 (the published spec: the §5.1 cipher, §5.3
 inverse cipher and the Nk-general key expansion of §5.2); tests pin
 the block cipher to the spec's own C.1/C.3 known-answer vectors. The
-corpus generator carries an INDEPENDENT forward-cipher implementation
-(sources/corpus._aes_enc_block) so the round-trip tests cross-check
-two readings of the standard — the same twin discipline as the RC4
-pair.
+corpus generator encrypts with this module's forward cipher, so those
+vectors, not a generator round trip, are what pin it.
 
 Scope: 128/192/256-bit keys; CBC with the PDF layout (16-byte IV
 prepended to the ciphertext, PKCS#7 padding) plus the no-padding

@@ -451,18 +451,15 @@ def _stats_partials(batch: pa.Table, shard_id: int) -> pa.Table:
     )
 
 
-def _url_projection(batch: pa.Table, n_buckets: int) -> pa.Table:
-    """Pass-1 projection for the url-dedup: ONLY (bucket, url, ts_us,
-    crc, sha) — payload bytes never enter the shuffle."""
+def _url_projection(batch: pa.Table) -> pa.Table:
+    """Pass-1 projection for the url-dedup: ONLY (url, ts_us, crc,
+    sha) — payload bytes never enter the shuffle."""
     import hashlib
     import zlib
 
-    urls = batch.column("url").to_pylist()
     payloads = batch.column("html").to_pylist()
     return pa.Table.from_pydict(
-        {"bucket": pa.array(
-            [zlib.crc32(u.encode()) % n_buckets for u in urls], pa.int32()),
-         "url": batch.column("url"),
+        {"url": batch.column("url"),
          "ts_us": batch.column("warc_ts").cast(pa.int64()),
          "crc": pa.array([zlib.crc32(p or b"") for p in payloads], pa.int64()),
          "sha": pa.array([hashlib.sha256(p or b"").hexdigest()
@@ -496,8 +493,7 @@ def _bucket_dup_winners(g):
     return win.reset_index(drop=True)
 
 
-def dedup_input_urls(ds: ray.data.Dataset,
-                     n_buckets: int | None = None) -> ray.data.Dataset:
+def dedup_input_urls(ds: ray.data.Dataset) -> ray.data.Dataset:
     """Input-hygiene exact url-dedup (SURVEY.md §2.7 — not in the
     reference; off the hot path by design): keep ONE row per url,
     deterministically — the earliest ``warc_ts``, ties broken by
@@ -528,20 +524,13 @@ def dedup_input_urls(ds: ray.data.Dataset,
     independence)."""
     import zlib
 
-    from ..stages.dedup import derive_buckets
+    from ..stages.dedup import bucketed_close
 
-    if n_buckets is None:
-        n_buckets = derive_buckets(ds.count())
-
-    proj = ds.map_batches(
-        lambda b: _url_projection(b, n_buckets),
-        batch_format="pyarrow", batch_size=None,
-    )
-    winners = (
-        proj.groupby("bucket")
-        .map_groups(_bucket_dup_winners, batch_format="pandas")
-        .to_pandas()  # small side: one row per duplicated url
-    )
+    n_rows = ds.count()
+    winners = bucketed_close(
+        ds, "url", _bucket_dup_winners, rows=n_rows,
+        partial=_url_projection, batch_size=None,
+    ).to_pandas()  # small side: one row per duplicated url
     dup_key = {
         u: (int(t), int(c), s)
         for u, t, c, s in zip(winners["url"], winners["ts_us"],
@@ -588,11 +577,7 @@ def dedup_input_urls(ds: ray.data.Dataset,
 
         _dups, picks = resolve_broadcast(dup_ref, key="url-dedup")
         urls = batch.column("url").to_pylist()
-        sub = batch.filter(pa.array([u in picks for u in urls]))
-        return sub.append_column(
-            "_b", pa.array(
-                [zlib.crc32(u.encode()) % n_buckets
-                 for u in sub.column("url").to_pylist()], pa.int32()))
+        return batch.filter(pa.array([u in picks for u in urls]))
 
     def pick_one(df):
         import hashlib
@@ -603,13 +588,10 @@ def dedup_input_urls(ds: ray.data.Dataset,
                       for p in df["html"]]
         df = df.sort_values(["url", "warc_ts", "_crc", "_sha"],
                             kind="mergesort").drop_duplicates("url")
-        return df.drop(columns=["_b", "_crc", "_sha"])
+        return df.drop(columns=["bucket", "_crc", "_sha"])
 
-    picked = (
-        ds.map_batches(only_picks, batch_format="pyarrow", batch_size=None)
-        .groupby("_b")
-        .map_groups(pick_one, batch_format="pandas")
-    )
+    picked = bucketed_close(ds, "url", pick_one, rows=n_rows,
+                            partial=only_picks, batch_size=None)
     return main.union(picked)
 
 

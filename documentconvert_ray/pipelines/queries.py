@@ -18,13 +18,20 @@ brute-force-equality suites instead and get the driver's rows-only
 check. (Greedy k-center, though iterative, IS oracled — exact integer
 distances make its selection deterministic, so the rounds unroll into
 a chained-CTE ladder.)
+
+The registry's bucketed exchange is ``stages.dedup.bucketed_close``:
+every per-key combine, window, as-of merge and anti-join hands it the
+key, the per-bucket close, the caller's row estimate and the partial
+map, and it alone picks the bucket count and the key hash. Sites that
+keep their own bucket column get it from a stage helper (LSH bands,
+shingle postings, IVF assignment, pair emission, sketches) or bucket
+by a time/rank range rather than a key hash.
 """
 
 from __future__ import annotations
 
 import os
 import re
-import zlib
 
 import numpy as np
 import pyarrow as pa
@@ -155,15 +162,6 @@ def _knuth32(ids) -> "np.ndarray":
         (np.asarray(ids).astype(np.uint64) * np.uint64(2654435761))
         % np.uint64(4294967296)
     ).astype(np.int64)
-
-
-def _crc_bucket_col(tbl: pa.Table, col: str, nb: int) -> pa.Table:
-    """Append ``bucket = crc32(str_col) % nb`` — the string-key leg of
-    the repo's bucketed-reduce idiom (a native per-key aggregate pays
-    per-distinct-key overhead: measured 30× at ≥100k keys, see
-    BASELINE.md)."""
-    bk = [zlib.crc32(s.encode()) % nb for s in tbl.column(col).to_pylist()]
-    return tbl.append_column("bucket", pa.array(bk, pa.int32()))
 
 
 # ------------------------------------------------------- extraction queries
@@ -314,22 +312,15 @@ def q_exact_dedup(sf_dir: str):
     groupby per bucket — a native per-key aggregate pays
     per-distinct-key overhead, key count = corpus size here)."""
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    nb = dd.derive_buckets(ds.count())
-
-    def keyed(b: pa.Table) -> pa.Table:
-        t = tx.md5_batch(b).select(["doc_id", "text_md5"])
-        return _crc_bucket_col(t, "text_md5", nb)
 
     def reduce_bucket(g):
         s = g.groupby("text_md5", as_index=False).agg(
             rep_doc_id=("doc_id", "min"), n_copies=("doc_id", "size"))
         return s.astype({"rep_doc_id": "int64", "n_copies": "int64"})
 
-    return (
-        ds.map_batches(keyed, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(reduce_bucket, batch_format="pandas")
-    )
+    return dd.bucketed_close(
+        ds, "text_md5", reduce_bucket, rows=ds.count(),
+        partial=lambda b: tx.md5_batch(b).select(["doc_id", "text_md5"]))
 
 
 def q_ngram_top20(sf_dir: str):
@@ -339,10 +330,6 @@ def q_ngram_top20(sf_dir: str):
     top-20 is a subset of the per-bucket top-20s) → final sort over
     ≤ 20·buckets rows, deterministic (n desc, word asc)."""
     ds = _read(sf_dir, "documents", ["text"])
-    nb = dd.derive_buckets(ds.count(), rows_per_doc=8)
-
-    def part(b: pa.Table) -> pa.Table:
-        return _crc_bucket_col(tx.ngram_partial_counts(b), "word", nb)
 
     def reduce_top(g):
         s = g.groupby("word", as_index=False).agg(n=("n", "sum"))
@@ -351,9 +338,8 @@ def q_ngram_top20(sf_dir: str):
         return s.astype({"n": "int64"})
 
     return (
-        ds.map_batches(part, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(reduce_top, batch_format="pandas")
+        dd.bucketed_close(ds, "word", reduce_top, rows=ds.count(),
+                          rows_per_doc=8, partial=tx.ngram_partial_counts)
         .sort(["n", "word"], descending=[True, False])
         .limit(20)
     )
@@ -374,10 +360,6 @@ def q_ngram_top20_mg(sf_dir: str):
     (Zipf) that holds by orders of magnitude, and the shared DuckDB
     oracle enforces exact equality every run."""
     ds = _read(sf_dir, "documents", ["text"])
-    nb = dd.derive_buckets(ds.count(), rows_per_doc=8)
-
-    def mg_part(b: pa.Table) -> pa.Table:
-        return _crc_bucket_col(tx.mg_partial_counts(b), "word", nb)
 
     def mg_reduce(g):
         s = g.groupby("word", as_index=False).agg(n=("n", "sum"))
@@ -386,9 +368,8 @@ def q_ngram_top20_mg(sf_dir: str):
         return s.astype({"n": "int64"})
 
     cand = (
-        ds.map_batches(mg_part, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(mg_reduce, batch_format="pandas")
+        dd.bucketed_close(ds, "word", mg_reduce, rows=ds.count(),
+                          rows_per_doc=8, partial=tx.mg_partial_counts)
         .sort(["n", "word"], descending=[True, False])
         .limit(tx.MG_CANDIDATES)
     )
@@ -921,20 +902,12 @@ def q_tfidf_top_terms(sf_dir: str):
     # BUCKETED vocabulary reduce (term-hash buckets + one vectorized
     # pandas sum per bucket) — a native per-term aggregate pays
     # per-distinct-key overhead (measured 30× on 100k+ keys)
-    n_vb = dd.derive_buckets(n_docs, rows_per_doc=8)
-
     def vocab_reduce(g):
         return g.groupby("term", as_index=False).agg(df=("nd", "sum"))
 
-    def df_bucketize(b: pa.Table) -> pa.Table:
-        return _crc_bucket_col(tx.df_partial_counts(b), "term", n_vb)
-
-    df_tbl = (
-        docs.map_batches(df_bucketize, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(vocab_reduce, batch_format="pandas")
-        .materialize()
-    )
+    df_tbl = dd.bucketed_close(
+        docs, "term", vocab_reduce, rows=n_docs, rows_per_doc=8,
+        partial=tx.df_partial_counts).materialize()
 
     def build_side(b: pa.Table) -> pa.Table:
         dfv = b.column("df").to_numpy()
@@ -950,7 +923,6 @@ def q_tfidf_top_terms(sf_dir: str):
         return b.filter(pa.array(hot)).select(["term"])
 
     n_vocab = df_tbl.count()
-    n_db = dd.derive_buckets(n_docs)
 
     if n_vocab <= TFIDF_BCAST_MAX_VOCAB:
         # SMALL-VOCABULARY fast path (size-gated, the
@@ -1002,9 +974,7 @@ def q_tfidf_top_terms(sf_dir: str):
             return t
 
         probe = docs.map_batches(probe_rows, batch_format="pyarrow")
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        n_part = max(8, min(dd.derive_buckets(n_docs, rows_per_doc=64),
-                            cpus // 2))
+        n_part = _join_parts(n_docs, rows_per_doc=64)
         joined = probe.join(
             build, "inner", n_part, on=("term",), right_on=("term_r",),
             aggregator_ray_remote_args=_join_remote_args(n_part),
@@ -1017,9 +987,8 @@ def q_tfidf_top_terms(sf_dir: str):
             df.sort_values(["doc_id", "score_micro", "term"],
                            ascending=[True, False, True], kind="mergesort")
             .groupby("doc_id", sort=False).head(TFIDF_TOPK)
-        )[["doc_id", "term", "tf", "score_micro"]]
-        return out.assign(bucket=(out["doc_id"].to_numpy(np.int64)
-                                  % n_db).astype("int32"))
+        )
+        return out[["doc_id", "term", "tf", "score_micro"]]
 
     def final_top(g):
         # one vectorized sort + cumcount per doc-hash BUCKET (per-doc
@@ -1031,11 +1000,8 @@ def q_tfidf_top_terms(sf_dir: str):
         g = g[g["rnk"] <= TFIDF_TOPK]
         return g[["doc_id", "rnk", "term", "tf", "score_micro"]]
 
-    return (
-        joined.map_batches(partial_top, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(final_top, batch_format="pandas")
-    )
+    return dd.bucketed_close(joined, "doc_id", final_top, rows=n_docs,
+                             partial=partial_top, batch_format="pandas")
 
 
 def q_per_lang_top5(sf_dir: str):
@@ -1162,21 +1128,14 @@ def q_corpus_curation(sf_dir: str):
         ns = batch.column("n_stop").to_numpy()
         return batch.filter(pa.array((nt >= 10) & (ns * 50 >= nt)))
 
-    nb = dd.derive_buckets(ds.count())
-
     def dedup_reduce(g):
         s = g.groupby("text_md5", as_index=False).agg(
             doc_id=("doc_id", "min"), n_tokens=("n_tokens", "min"))
         return s.astype({"doc_id": "int64", "n_tokens": "int64"})
 
-    deduped = (
-        ds.map_batches(stats, batch_format="pyarrow")
-        .map_batches(quality, batch_format="pyarrow")
-        .map_batches(lambda b: _crc_bucket_col(b, "text_md5", nb),
-                     batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(dedup_reduce, batch_format="pandas")
-    )
+    deduped = dd.bucketed_close(
+        ds.map_batches(stats, batch_format="pyarrow"), "text_md5",
+        dedup_reduce, rows=ds.count(), partial=quality)
 
     def sample(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_numpy()
@@ -1484,9 +1443,8 @@ def q_events_sliding(sf_dir: str):
     # distinct (type, window) keys grow with the corpus TIME SPAN
     # (≈ 57k at sf0.1) — squarely in the native aggregate's measured
     # per-key-overhead cliff, so the final reduce is the repo's
-    # window-hash BUCKETED idiom (14.2 s native → ~3 s bucketed)
-    nb = dd.derive_buckets(ds.count(), rows_per_doc=1)
-
+    # window-hash BUCKETED idiom (14.2 s native → ~3 s bucketed), keyed
+    # on the window index (win_start_s is a multiple of HOP)
     def partials(df):
         import pandas as pd
 
@@ -1505,7 +1463,7 @@ def q_events_sliding(sf_dir: str):
              .agg(n_events=("v", "size"), sum_value_micro=("v", "sum")))
         g["n_events"] = g["n_events"].astype("int64")
         g["win_start_s"] = g["win_start_s"].astype("int64")
-        g["bucket"] = ((g["win_start_s"] // HOP) % nb).astype("int32")
+        g["win"] = g["win_start_s"] // HOP
         return g
 
     def reduce_bucket(g):
@@ -1513,11 +1471,8 @@ def q_events_sliding(sf_dir: str):
                 .agg(n_events=("n_events", "sum"),
                      sum_value_micro=("sum_value_micro", "sum")))
 
-    return (
-        ds.map_batches(partials, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(reduce_bucket, batch_format="pandas")
-    )
+    return dd.bucketed_close(ds, "win", reduce_bucket, rows=ds.count(),
+                             partial=partials, batch_format="pandas")
 
 
 def q_value_quantiles(sf_dir: str):
@@ -1622,17 +1577,14 @@ def q_purchase_attribution(sf_dir: str):
     import pyarrow.compute as pc
 
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
-    n_buckets = dd.derive_buckets(ds.count())
 
     def project(batch: pa.Table) -> pa.Table:
         et = batch.column("event_type")
         keep = pc.or_(pc.equal(et, "purchase"), pc.equal(et, "view"))
         b = batch.filter(keep)
-        uid = b.column("user_id").to_numpy()
         role = pc.equal(b.column("event_type"), "purchase")
         return pa.Table.from_pydict(
-            {"bucket": pa.array((uid % n_buckets).astype(np.int32)),
-             "user_id": b.column("user_id"),
+            {"user_id": b.column("user_id"),
              "ts": b.column("ts"),
              "event_id": b.column("event_id"),
              "is_purchase": role})
@@ -1661,11 +1613,8 @@ def q_purchase_attribution(sf_dir: str):
              "user_id": m["user_id"].astype("int64"),
              "view_id": m["view_id"].astype("int64")})
 
-    return (
-        ds.map_batches(project, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(asof_bucket, batch_format="pandas")
-    )
+    return dd.bucketed_close(ds, "user_id", asof_bucket, rows=ds.count(),
+                             partial=project)
 
 
 UNPIVOT_MEASURES = ["l_quantity", "l_extendedprice", "l_discount", "l_tax"]
@@ -1739,32 +1688,26 @@ def q_asof_last_order(sf_dir: str):
     import pandas as pd
 
     ev = _read(sf_dir, "events", ["event_id", "ts", "user_id"])
-    n_buckets = dd.derive_buckets(ev.count())
 
     def ev_project(b: pa.Table) -> pa.Table:
-        uid = b.column("user_id").to_numpy()
         return pa.Table.from_pydict(
-            {"bucket": pa.array((uid % n_buckets).astype(np.int32)),
-             "user_id": b.column("user_id"),
+            {"user_id": b.column("user_id"),
              "ts": b.column("ts"),
              "rid": b.column("event_id"),
-             "is_order": pa.array(np.zeros(len(uid), bool))})
+             "is_order": pa.array(np.zeros(b.num_rows, bool))})
 
     def ord_project(b: pa.Table) -> pa.Table:
         ck = b.column("o_custkey").to_numpy()
         b = b.filter(pa.array(ck % 2 == 0))  # partial dimension
         ck = b.column("o_custkey").to_numpy()
         return pa.Table.from_pydict(
-            {"bucket": pa.array((ck % n_buckets).astype(np.int32)),
-             "user_id": pa.array(ck.astype(np.int64)),
+            {"user_id": pa.array(ck.astype(np.int64)),
              "ts": b.column("o_orderdate"),
              "rid": b.column("o_orderkey"),
              "is_order": pa.array(np.ones(len(ck), bool))})
 
-    orders = _read(
-        sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"]
-    ).map_batches(ord_project, batch_format="pyarrow")
-    events = ev.map_batches(ev_project, batch_format="pyarrow")
+    orders = _read(sf_dir, "orders",
+                   ["o_orderkey", "o_custkey", "o_orderdate"])
 
     EPOCH = pd.Timestamp("1970-01-01")
 
@@ -1799,11 +1742,9 @@ def q_asof_last_order(sf_dir: str):
              "last_orderdate": m["last_orderdate"].fillna(EPOCH)
              .astype("datetime64[us]")})
 
-    return (
-        events.union(orders)
-        .groupby("bucket")
-        .map_groups(asof_bucket, batch_format="pandas")
-    )
+    return dd.bucketed_close(ev, "user_id", asof_bucket, rows=ev.count(),
+                             partial=ev_project,
+                             union=[(orders, ord_project)])
 
 
 # band table for the range join: (name, lo, hi) in integer micro-units
@@ -1854,13 +1795,6 @@ def q_user_sessions(sf_dir: str):
     map_groups call per user (VERDICT r1 #4: ~ms of Python per key at
     scale)."""
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id"])
-    n_buckets = dd.derive_buckets(ds.count())
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        uid = batch.column("user_id").to_numpy()
-        return batch.append_column(
-            "bucket", pa.array((uid % n_buckets).astype(np.int32))
-        )
 
     def sessions_bucket(df):
         import pandas as pd
@@ -1878,11 +1812,7 @@ def q_user_sessions(sf_dir: str):
         out["n_events"] = out["n_events"].astype("int64")
         return out
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(sessions_bucket, batch_format="pandas")
-    )
+    return dd.bucketed_close(ds, "user_id", sessions_bucket, rows=ds.count())
 
 
 # -------------------------------------------------------- lineitem queries
@@ -1951,13 +1881,12 @@ def q_user_first_last(sf_dir: str):
 
     ds = _read(sf_dir, "events",
                ["event_id", "ts", "user_id", "event_type", "value"])
-    n_buckets = dd.derive_buckets(ds.count())
 
     def partial(df):
         df = df.assign(v_micro=_micro_int_col(df["value"]))
         df = df.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         g = df.groupby("user_id", sort=False)
-        out = pd.DataFrame({
+        return pd.DataFrame({
             "first_ts": g["ts"].first(),
             "first_event_id": g["event_id"].first(),
             "first_type": g["event_type"].first(),
@@ -1967,8 +1896,6 @@ def q_user_first_last(sf_dir: str):
             "n_events": g.size().astype("int64"),
             "sum_value_micro": g["v_micro"].sum(),
         }).reset_index()
-        out["bucket"] = (out["user_id"] % n_buckets).astype("int32")
-        return out
 
     def merge(g):
         f = g.sort_values(["user_id", "first_ts", "first_event_id"],
@@ -1993,11 +1920,8 @@ def q_user_first_last(sf_dir: str):
         out["last_event_id"] = out["last_event_id"].astype("int64")
         return out
 
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(merge, batch_format="pandas")
-    )
+    return dd.bucketed_close(ds, "user_id", merge, rows=ds.count(),
+                             partial=partial, batch_format="pandas")
 
 
 def q_event_transitions(sf_dir: str):
@@ -2011,12 +1935,6 @@ def q_event_transitions(sf_dir: str):
     import pandas as pd
 
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
-    n_buckets = dd.derive_buckets(ds.count())
-
-    def bucketize(df):
-        df = df.copy()
-        df["bucket"] = (df["user_id"] % n_buckets).astype("int32")
-        return df
 
     def count_transitions(g):
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -2032,9 +1950,8 @@ def q_event_transitions(sf_dir: str):
         return out
 
     return (
-        ds.map_batches(bucketize, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(count_transitions, batch_format="pandas")
+        dd.bucketed_close(ds, "user_id", count_transitions, rows=ds.count(),
+                          batch_format="pandas")
         .groupby(["prev_type", "next_type"])
         .aggregate(Sum("n", alias_name="n"))
     )
@@ -2055,13 +1972,10 @@ def q_funnel_users(sf_dir: str):
     import pandas as pd
 
     ds = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
-    n_buckets = dd.derive_buckets(ds.count())
     steps = list(FUNNEL_STEPS)
 
-    def bucketize(df):
-        df = df[df["event_type"].isin(steps)].copy()
-        df["bucket"] = (df["user_id"] % n_buckets).astype("int32")
-        return df
+    def funnel_rows(df):
+        return df[df["event_type"].isin(steps)].copy()
 
     def match_funnel(g):
         cur = (
@@ -2089,11 +2003,8 @@ def q_funnel_users(sf_dir: str):
         cols = ["user_id"] + [f"ts{j}" for j in range(1, len(steps) + 1)]
         return cur[cols].sort_values("user_id").reset_index(drop=True)
 
-    return (
-        ds.map_batches(bucketize, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(match_funnel, batch_format="pandas")
-    )
+    return dd.bucketed_close(ds, "user_id", match_funnel, rows=ds.count(),
+                             partial=funnel_rows, batch_format="pandas")
 
 
 BIG_ORDER_QTY_MICRO = 300_000_000  # HAVING sum(l_quantity) >= 300
@@ -2116,27 +2027,22 @@ def q_big_orders(sf_dir: str):
 
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
     n_orders = _read(sf_dir, "orders", ["o_orderkey"]).count()
-    nb = dd.derive_buckets(n_orders)
 
     def partial(df):
         df = df.assign(q_micro=_micro_int_col(df["l_quantity"]))
-        out = df.groupby("l_orderkey", as_index=False).agg(
+        return df.groupby("l_orderkey", as_index=False).agg(
             sum_qty_micro=("q_micro", "sum"))
-        out["bucket"] = (out["l_orderkey"] % nb).astype("int32")
-        return out
 
     def reduce_having(g):
         s = g.groupby("l_orderkey", as_index=False).agg(
             sum_qty_micro=("sum_qty_micro", "sum"))
         return s[s["sum_qty_micro"] >= BIG_ORDER_QTY_MICRO]
 
-    survivors = (
-        li.map_batches(partial, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(reduce_having, batch_format="pandas")
-        .materialize()  # tiny by the HAVING bound; also lets the
-        #                 fallback reuse it without re-scanning lineitem
-    )
+    survivors = dd.bucketed_close(
+        li, "l_orderkey", reduce_having, rows=n_orders, partial=partial,
+        batch_format="pandas",
+    ).materialize()  # tiny by the HAVING bound; also lets the
+    #                  fallback reuse it without re-scanning lineitem
 
     # Q18's HAVING makes survivors RARE by construction (sum qty ≥ 300
     # ≈ top fraction of a percent of orders), so the textbook plan is
@@ -2145,8 +2051,7 @@ def q_big_orders(sf_dir: str):
     # count decides BEFORE any driver transfer.
     n_surv = survivors.count()
     if n_surv > 100_000:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        n_part = max(8, min(dd.derive_buckets(n_orders), cpus // 2))
+        n_part = _join_parts(n_orders)
         orders = _read(
             sf_dir, "orders",
             ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"])
@@ -2316,14 +2221,6 @@ def q_dup_gram_mass(sf_dir: str):
     # per bucket; a native per-gram aggregate pays per-distinct-key
     # overhead — measured 30× on 100k+ keys) with the df≥2 filter
     # INSIDE the bucket reduce, so only duplicated grams leave it
-    n_gb = dd.derive_buckets(n_docs, rows_per_doc=32)
-
-    def gram_bucketize(b: pa.Table) -> pa.Table:
-        t = tx.dupgram_partial_df(b)
-        gh = t.column("gh").to_numpy().view(np.uint64)
-        bk = (gh % np.uint64(n_gb)).astype(np.int32)
-        return t.append_column("bucket", pa.array(bk))
-
     def dup_reduce(g):
         s = g.groupby("gh", as_index=False).agg(df=("nd", "sum"))
         s = s[s["df"] >= 2]
@@ -2331,9 +2228,8 @@ def q_dup_gram_mass(sf_dir: str):
                              "dup": np.ones(len(s), dtype=np.int64)})
 
     build = (
-        docs.map_batches(gram_bucketize, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(dup_reduce, batch_format="pandas")
+        dd.bucketed_close(docs, "gh", dup_reduce, rows=n_docs,
+                          rows_per_doc=32, partial=tx.dupgram_partial_df)
         .repartition(max(1, min(32, -(-n_docs // 25_000))))
     )
     probe = docs.map_batches(tx.dupgram_doc_rows, batch_format="pyarrow")
@@ -2341,13 +2237,11 @@ def q_dup_gram_mass(sf_dir: str):
     cpus = int(ray.cluster_resources().get("CPU", 8))
     # the post-join combiner's task width == num_partitions (measured:
     # cpus//2 left the 125-cpu-s combiner 16-wide on 32 cpus)
-    n_part = max(8, min(dd.derive_buckets(n_docs, rows_per_doc=64), cpus))
+    n_part = _join_parts(n_docs, rows_per_doc=64, cpu_div=1)
     joined = probe.join(
         build, "left_outer", n_part, on=("gh",), right_on=("gh_r",),
         aggregator_ray_remote_args=_join_remote_args(n_part),
     )
-
-    n_db = dd.derive_buckets(n_docs)
 
     def partial(df):
         # np.unique + bincount: measured 15× over the pandas groupby
@@ -2362,10 +2256,7 @@ def q_dup_gram_mass(sf_dir: str):
         n_dup = np.bincount(inv, weights=np.where(is_dup & ~is_tot,
                                                   occ, 0),
                             minlength=len(u)).astype(np.int64)
-        return pd.DataFrame({
-            "doc_id": u, "n_pos": n_pos, "n_dup": n_dup,
-            "bucket": (u % n_db).astype("int32"),
-        })
+        return pd.DataFrame({"doc_id": u, "n_pos": n_pos, "n_dup": n_dup})
 
     def doc_reduce(g):
         s = g.groupby("doc_id", as_index=False).agg(
@@ -2375,11 +2266,8 @@ def q_dup_gram_mass(sf_dir: str):
         n_dup = s["n_dup"].to_numpy(np.int64)
         return s.assign(dup_frac_micro=n_dup * 1_000_000 // n_pos)
 
-    return (
-        joined.map_batches(partial, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(doc_reduce, batch_format="pandas")
-    )
+    return dd.bucketed_close(joined, "doc_id", doc_reduce, rows=n_docs,
+                             partial=partial, batch_format="pandas")
 
 
 SAMPLE_K = 200
@@ -2419,12 +2307,10 @@ def q_user_running_total(sf_dir: str):
     import pandas as pd
 
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
-    n_buckets = dd.derive_buckets(ds.count())
 
-    def bucketize(df):
-        df = df.assign(v_micro=_micro_int_col(df["value"]),
-                       bucket=(df["user_id"] % n_buckets).astype("int32"))
-        return df[["bucket", "event_id", "ts", "user_id", "v_micro"]]
+    def project(df):
+        df = df.assign(v_micro=_micro_int_col(df["value"]))
+        return df[["event_id", "ts", "user_id", "v_micro"]]
 
     def scan(g):
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -2436,11 +2322,8 @@ def q_user_running_total(sf_dir: str):
                                 .cumsum().to_numpy(np.int64),
         })
 
-    return (
-        ds.map_batches(bucketize, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(scan, batch_format="pandas")
-    )
+    return dd.bucketed_close(ds, "user_id", scan, rows=ds.count(),
+                             partial=project, batch_format="pandas")
 
 
 def q_purchase_ffill(sf_dir: str):
@@ -2455,15 +2338,12 @@ def q_purchase_ffill(sf_dir: str):
 
     ds = _read(sf_dir, "events",
                ["event_id", "ts", "user_id", "event_type", "value"])
-    n_buckets = dd.derive_buckets(ds.count())
 
-    def bucketize(df):
+    def project(df):
         v = _micro_int_col(df["value"]).astype(np.float64)
         pv = np.where(df["event_type"].to_numpy() == "purchase",
                       v, np.nan)
-        df = df.assign(pv=pv,
-                       bucket=(df["user_id"] % n_buckets).astype("int32"))
-        return df[["bucket", "event_id", "ts", "user_id", "pv"]]
+        return df.assign(pv=pv)[["event_id", "ts", "user_id", "pv"]]
 
     def scan(g):
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -2477,11 +2357,8 @@ def q_purchase_ffill(sf_dir: str):
             "last_purchase_micro": last,
         })
 
-    return (
-        ds.map_batches(bucketize, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(scan, batch_format="pandas")
-    )
+    return dd.bucketed_close(ds, "user_id", scan, rows=ds.count(),
+                             partial=project, batch_format="pandas")
 
 
 def q_retained_users(sf_dir: str):
@@ -2504,8 +2381,6 @@ def q_retained_users(sf_dir: str):
     lo, hi = int(mm["lo"].min()), int(mm["hi"].max())
     mid = (lo + hi) // 2
 
-    n_buckets = dd.derive_buckets(ds.count())
-
     def partial(df):
         us = df["ts"].astype("datetime64[us]").astype("int64").to_numpy()
         first = us <= mid
@@ -2514,10 +2389,8 @@ def q_retained_users(sf_dir: str):
             "n_first": first.astype(np.int64),
             "n_second": (~first).astype(np.int64),
         })
-        out = out.groupby("user_id", as_index=False).agg(
+        return out.groupby("user_id", as_index=False).agg(
             n_first=("n_first", "sum"), n_second=("n_second", "sum"))
-        out["bucket"] = (out["user_id"] % n_buckets).astype("int32")
-        return out
 
     def reduce_both(g):
         s = g.groupby("user_id", as_index=False).agg(
@@ -2526,11 +2399,8 @@ def q_retained_users(sf_dir: str):
         return s.astype({"user_id": "int64", "n_first": "int64",
                          "n_second": "int64"})
 
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(reduce_both, batch_format="pandas")
-    )
+    return dd.bucketed_close(ds, "user_id", reduce_both, rows=ds.count(),
+                             partial=partial, batch_format="pandas")
 
 
 def q_percentile_rank(sf_dir: str):
@@ -2603,7 +2473,6 @@ def q_user_customer_outer(sf_dir: str):
 
     ev = _read(sf_dir, "events", ["user_id", "value"])
     n_users_hint = ev.count()
-    nb = dd.derive_buckets(n_users_hint)
 
     def partial(df):
         out = pd.DataFrame({
@@ -2613,7 +2482,6 @@ def q_user_customer_outer(sf_dir: str):
         }).groupby("user_id", as_index=False).agg(
             n_events=("n_events", "sum"),
             sum_value_micro=("sum_value_micro", "sum"))
-        out["bucket"] = (out["user_id"] % nb).astype("int32")
         return out
 
     def reduce_user(g):
@@ -2628,9 +2496,8 @@ def q_user_customer_outer(sf_dir: str):
     # size-derived — user cardinality scales with the data, so a
     # fixed repartition(1) would bottleneck at scale
     left = (
-        ev.map_batches(partial, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(reduce_user, batch_format="pandas")
+        dd.bucketed_close(ev, "user_id", reduce_user, rows=n_users_hint,
+                          partial=partial, batch_format="pandas")
         .repartition(max(1, min(64, n_users_hint // 500_000)))
     )
 
@@ -2688,9 +2555,6 @@ def q_top_customers(sf_dir: str):
         dict(zip(cust_df["c_custkey"].astype(int), cust_df["c_name"]))
     )
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-    # size-derived combine granularity (VERDICT r2 #2: a fixed 32 made
-    # per-bucket rows grow with the customer count)
-    n_buckets = dd.derive_buckets(len(cust_df))
 
     def partial(df):
         df = df.copy()
@@ -2699,20 +2563,19 @@ def q_top_customers(sf_dir: str):
             revenue_c=("price_c", "sum"), n_orders=("price_c", "size")
         )
         g["n_orders"] = g["n_orders"].astype("int64")
-        g["bucket"] = (g["o_custkey"] % n_buckets).astype("int32")
-        return g[["bucket", "o_custkey", "revenue_c", "n_orders"]]
+        return g[["o_custkey", "revenue_c", "n_orders"]]
 
     def combine(g):
         return g.groupby("o_custkey", as_index=False).agg(
             revenue_c=("revenue_c", "sum"), n_orders=("n_orders", "sum")
         )
 
-    # partial per batch → bucketed final combine (32 groups, C-speed
-    # pandas inside; the generic Ray Aggregate here measured 20+ s)
-    partials = orders.map_batches(partial, batch_format="pandas")
-    totals = partials.groupby("bucket").map_groups(
-        combine, batch_format="pandas"
-    )
+    # partial per batch → bucketed final combine (C-speed pandas
+    # inside; the generic Ray Aggregate here measured 20+ s), bucket
+    # count sized from the customer count
+    totals = dd.bucketed_close(orders, "o_custkey", combine,
+                               rows=len(cust_df), partial=partial,
+                               batch_format="pandas")
     top = totals.sort(["revenue_c", "o_custkey"], descending=[True, False]).limit(10)
 
     def finish(batch: pa.Table, names_ref=names_ref) -> pa.Table:
@@ -2739,12 +2602,9 @@ def q_distinct_users(sf_dir: str):
     finishes. Exchange is O(distinct pairs) — when even that is too
     much, q_distinct_users_hll is the O(batches · 4 KiB) sketch twin."""
     ds = _read(sf_dir, "events", ["event_type", "user_id"])
-    n_buckets = dd.derive_buckets(ds.count())
 
     def partial(df):
-        g = df.drop_duplicates(["event_type", "user_id"]).copy()
-        g["bucket"] = (g["user_id"] % n_buckets).astype("int32")
-        return g[["bucket", "event_type", "user_id"]]
+        return df.drop_duplicates(["event_type", "user_id"])
 
     def count_bucket(g):
         out = (g.drop_duplicates(["event_type", "user_id"])
@@ -2754,9 +2614,8 @@ def q_distinct_users(sf_dir: str):
         return out
 
     return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(count_bucket, batch_format="pandas")
+        dd.bucketed_close(ds, "user_id", count_bucket, rows=ds.count(),
+                          partial=partial, batch_format="pandas")
         .groupby("event_type")
         .aggregate(Sum("n_users", alias_name="n_users"))
     )
@@ -2773,12 +2632,9 @@ def q_user_event_types(sf_dir: str):
     import pandas as pd
 
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
-    n_buckets = dd.derive_buckets(ds.count())
 
     def partial(df):
-        g = df.drop_duplicates(["user_id", "event_type"]).copy()
-        g["bucket"] = (g["user_id"] % n_buckets).astype("int32")
-        return g[["bucket", "user_id", "event_type"]]
+        return df.drop_duplicates(["user_id", "event_type"])
 
     def rollup(g):
         g = (
@@ -2790,11 +2646,8 @@ def q_user_event_types(sf_dir: str):
             types_csv=("event_type", ",".join))
         return out.astype({"n_types": "int64"})
 
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(rollup, batch_format="pandas")
-    )
+    return dd.bucketed_close(ds, "user_id", rollup, rows=ds.count(),
+                             partial=partial, batch_format="pandas")
 
 
 def _click_purchase_days(sf_dir: str, final_mask):
@@ -2806,7 +2659,6 @@ def _click_purchase_days(sf_dir: str, final_mask):
     import pandas as pd
 
     ds = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
-    n_buckets = dd.derive_buckets(ds.count())
 
     def partial(df):
         out = pd.DataFrame({
@@ -2817,7 +2669,6 @@ def _click_purchase_days(sf_dir: str, final_mask):
         }).groupby(["user_id", "day"], as_index=False).agg(
             clicked=("clicked", "max"), purchased=("purchased", "max"))
         out = out[out["clicked"] | out["purchased"]]
-        out["bucket"] = (out["user_id"] % n_buckets).astype("int32")
         return out
 
     def reduce_bucket(g):
@@ -2827,11 +2678,8 @@ def _click_purchase_days(sf_dir: str, final_mask):
         return (s[["user_id", "day"]].astype({"user_id": "int64"})
                 .reset_index(drop=True))
 
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(reduce_bucket, batch_format="pandas")
-    )
+    return dd.bucketed_close(ds, "user_id", reduce_bucket, rows=ds.count(),
+                             partial=partial, batch_format="pandas")
 
 
 def q_click_no_purchase_days(sf_dir: str):
@@ -2879,6 +2727,16 @@ def q_distinct_users_hll(sf_dir: str):
 
 
 ORDER_JOIN_CUTOFF = "1996-06-30"
+
+
+def _join_parts(n_rows: int, rows_per_doc: int = 1, cpu_div: int = 2,
+                lo: int = 8) -> int:
+    """Partition count for a native hash join: size-derived
+    (``dd.derive_buckets``), at most the cluster's CPUs // ``cpu_div``
+    and at least ``lo``."""
+    cpus = int(ray.cluster_resources().get("CPU", 8))
+    return max(lo, min(dd.derive_buckets(n_rows, rows_per_doc),
+                       cpus // cpu_div))
 
 
 def _join_remote_args(num_partitions: int) -> dict:
@@ -2954,9 +2812,8 @@ def q_order_revenue_join(sf_dir: str):
     # DataContext.max_hash_shuffle_aggregators toward the node count
     # so per-aggregator accumulation stays node-sized; the CPU clamp
     # then admits the size-derived count unchanged.
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    np_orders = max(8, min(dd.derive_buckets(n_orders), cpus // 2))
-    np_li = max(8, min(dd.derive_buckets(n_li), cpus // 2))
+    np_orders = _join_parts(n_orders)
+    np_li = _join_parts(n_li)
     o_semi = orders.join(
         cust, "left_semi", np_orders,
         on=("o_custkey",), right_on=("c_custkey",),
@@ -2977,7 +2834,6 @@ def q_order_revenue_join(sf_dir: str):
     # (orderkey, date, priority) key is functionally o_orderkey, so a
     # per-bucket top-10 is a safe prune), then a tiny
     # ≤ 10×n_buckets-row global sort picks the real top-10.
-    nb_agg = dd.derive_buckets(n_orders)
 
     def partial(df):
         rev = np.floor(
@@ -2991,7 +2847,6 @@ def q_order_revenue_join(sf_dir: str):
         ).groupby(
             ["o_orderkey", "o_orderdate", "o_orderpriority"], as_index=False
         ).agg(revenue_micro=("rev", "sum"))
-        g["bucket"] = (g["o_orderkey"] % nb_agg).astype("int32")
         return g
 
     def reduce_topk(g):
@@ -3004,9 +2859,8 @@ def q_order_revenue_join(sf_dir: str):
         ).head(10)
 
     return (
-        joined.map_batches(partial, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(reduce_topk, batch_format="pandas")
+        dd.bucketed_close(joined, "o_orderkey", reduce_topk, rows=n_orders,
+                          partial=partial, batch_format="pandas")
         .sort(["revenue_micro", "o_orderdate", "o_orderkey"],
               descending=[True, False, False])
         .limit(10)
@@ -3062,9 +2916,8 @@ def q_bloom_semi_join(sf_dir: str):
         sf_dir, "lineitem",
         ["l_orderkey", "l_extendedprice", "l_discount", "l_returnflag"],
     ).map_batches(prefilter, batch_format="pyarrow")
-    cpus = int(ray.cluster_resources().get("CPU", 8))
     n_li = _read(sf_dir, "lineitem", ["l_orderkey"]).count()
-    n_part = max(8, min(dd.derive_buckets(n_li // 5), cpus // 2))
+    n_part = _join_parts(n_li // 5)
     verified = survivors.join(
         dedup_keys, "left_semi", n_part,
         on=("l_orderkey",), right_on=("o_orderkey",),
@@ -3103,12 +2956,10 @@ def q_top_event_type(sf_dir: str):
     import pandas as pd
 
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
-    nb = dd.derive_buckets(ds.count())
 
     def partial(df):
         g = df.groupby(["user_id", "event_type"], as_index=False).agg(
             n=("event_type", "size"))
-        g["bucket"] = (g["user_id"] % nb).astype("int32")
         return g
 
     def reduce_bucket(g):
@@ -3123,11 +2974,8 @@ def q_top_event_type(sf_dir: str):
             "n_events": s["n"].to_numpy(np.int64),
         })
 
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(reduce_bucket, batch_format="pandas")
-    )
+    return dd.bucketed_close(ds, "user_id", reduce_bucket, rows=ds.count(),
+                             partial=partial, batch_format="pandas")
 
 
 PIVOT_TYPES = ("view", "click", "purchase", "signup", "error")
@@ -3263,7 +3111,6 @@ def q_moving_sum(sf_dir: str):
     import pandas as pd
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-    nb = dd.derive_buckets(ds.count())
 
     def partial(df):
         return pd.DataFrame({
@@ -3271,8 +3118,6 @@ def q_moving_sum(sf_dir: str):
             "user_id": df["user_id"].to_numpy(np.int64),
             "ts": df["ts"],
             "value_micro": _micro_int_col(df["value"]),
-            "bucket": (df["user_id"].to_numpy(np.int64) % nb)
-                .astype("int32"),
         })
 
     def reduce_bucket(g):
@@ -3291,11 +3136,8 @@ def q_moving_sum(sf_dir: str):
             "moving_sum_micro": ms.astype(np.int64),
         })
 
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(reduce_bucket, batch_format="pandas")
-    )
+    return dd.bucketed_close(ds, "user_id", reduce_bucket, rows=ds.count(),
+                             partial=partial, batch_format="pandas")
 
 
 def q_revenue_share(sf_dir: str):
@@ -3345,12 +3187,10 @@ def q_nation_order_avg(sf_dir: str):
 
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
     orders = _read(sf_dir, "orders", ["o_custkey"])
-    nb = dd.derive_buckets(orders.count())
 
     def count_partial(df):
         g = df.groupby("o_custkey", as_index=False).agg(
             n=("o_custkey", "size"))
-        g["bucket"] = (g["o_custkey"] % nb).astype("int32")
         return g
 
     def count_reduce(g):
@@ -3363,14 +3203,11 @@ def q_nation_order_avg(sf_dir: str):
         return pa.Table.from_pandas(
             s, preserve_index=False).replace_schema_metadata(None)
 
-    oc = (
-        orders.map_batches(count_partial, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(count_reduce, batch_format="pandas")
-    )
-    cpus = int(ray.cluster_resources().get("CPU", 8))
+    oc = dd.bucketed_close(orders, "o_custkey", count_reduce,
+                           rows=orders.count(), partial=count_partial,
+                           batch_format="pandas")
     n_cust = cust.count()
-    n_part = max(8, min(dd.derive_buckets(n_cust), cpus // 2))
+    n_part = _join_parts(n_cust)
     joined = cust.join(
         oc, "left_outer", n_part,
         on=("c_custkey",), right_on=("o_custkey",),
@@ -3492,8 +3329,7 @@ def q_inactive_customers(sf_dir: str):
     okeys = _read(sf_dir, "orders", ["o_custkey", "o_orderdate"]).map_batches(
         active_keys, batch_format="pyarrow")
 
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    n_part = max(8, min(dd.derive_buckets(n_cust), cpus // 2))
+    n_part = _join_parts(n_cust)
     anti = cust.join(
         okeys, "left_anti", n_part,
         on=("c_custkey",), right_on=("o_custkey",),
@@ -4084,7 +3920,6 @@ def q_fuzzy_prefix_dups(sf_dir: str):
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     n_docs = docs.count()
-    n_vb = dd.derive_buckets(n_docs, rows_per_doc=FUZZY_PREFIX_LEN + 1)
 
     def variants(b: pa.Table) -> pa.Table:
         ids_out: list[int] = []
@@ -4103,8 +3938,7 @@ def q_fuzzy_prefix_dups(sf_dir: str):
         return pa.Table.from_pydict(
             {"doc_id": pa.array(ids_out, pa.int64()),
              "vh": pa.array(vh.view(np.int64)),
-             "pfx": pa.array(pfx_out, pa.string()),
-             "bucket": pa.array((vh % np.uint64(n_vb)).astype(np.int32))})
+             "pfx": pa.array(pfx_out, pa.string())})
 
     def candidate_pairs(g):
         a_out: list[int] = []
@@ -4134,25 +3968,16 @@ def q_fuzzy_prefix_dups(sf_dir: str):
             "doc_id_b": np.array(b_out, np.int64),
             "edit_dist": np.array(d_out, np.int64)})
 
-    n_pb = dd.derive_buckets(n_docs)
-
-    def pair_bucket(df):
-        return df.assign(
-            bucket=(df["doc_id_a"] % n_pb).astype("int32"))
-
     def pair_distinct(g):
         return g.drop_duplicates(
             subset=["doc_id_a", "doc_id_b"]
         )[["doc_id_a", "doc_id_b", "edit_dist"]]
 
-    return (
-        docs.map_batches(variants, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(candidate_pairs, batch_format="pandas")
-        .map_batches(pair_bucket, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(pair_distinct, batch_format="pandas")
-    )
+    cands = dd.bucketed_close(docs, "vh", candidate_pairs, rows=n_docs,
+                              rows_per_doc=FUZZY_PREFIX_LEN + 1,
+                              partial=variants)
+    return dd.bucketed_close(cands, "doc_id_a", pair_distinct, rows=n_docs,
+                             batch_format="pandas")
 
 
 SAMPLE_PER_LANG_K = 20
@@ -4204,11 +4029,6 @@ def q_window_dedup(sf_dir: str):
     import pandas as pd
 
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
-    n_buckets = dd.derive_buckets(ds.count())
-
-    def bucketize(df):
-        return df.assign(
-            bucket=(df["user_id"] % n_buckets).astype("int32"))
 
     def suppress(g):
         g = g.sort_values(["user_id", "event_type", "ts", "event_id"],
@@ -4232,11 +4052,8 @@ def q_window_dedup(sf_dir: str):
             "ts": out["ts"],
         })
 
-    return (
-        ds.map_batches(bucketize, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(suppress, batch_format="pandas")
-    )
+    return dd.bucketed_close(ds, "user_id", suppress, rows=ds.count(),
+                             batch_format="pandas")
 
 
 MIX_K = 200
@@ -4321,7 +4138,6 @@ def q_bigram_pmi(sf_dir: str):
 
     ds = _read(sf_dir, "documents", ["text"])
     n_docs = ds.count()
-    nb = dd.derive_buckets(n_docs, rows_per_doc=32)
 
     def partials(df):
         from collections import Counter
@@ -4338,24 +4154,15 @@ def q_bigram_pmi(sf_dir: str):
         return pd.DataFrame({"w1": w1, "w2": w2,
                              "c": np.asarray(c, np.int64)})
 
-    def bucketize(t: pa.Table) -> pa.Table:
-        key = pc.binary_join_element_wise(
-            t.column("w1"), t.column("w2"), "\x00")
-        return _crc_bucket_col(t.append_column("k", key), "k", nb)
-
     def reduce_counts(g):
         s = g.groupby(["w1", "w2"], as_index=False).agg(c=("c", "sum"))
         return s.astype({"c": "int64"})
 
-    counts = (
-        ds.map_batches(partials, batch_format="pandas")
-        .map_batches(bucketize, batch_format="pyarrow")
-        .drop_columns(["k"])
-        .groupby("bucket")
-        .map_groups(reduce_counts, batch_format="pandas")
-        .materialize()  # vocabulary-sized (Heaps-law bounded); reused
-        #                 as unigram build side ×2 + bigram probe + totals
-    )
+    counts = dd.bucketed_close(
+        ds, ["w1", "w2"], reduce_counts, rows=n_docs, rows_per_doc=32,
+        partial=partials, batch_format="pandas",
+    ).materialize()  # vocabulary-sized (Heaps-law bounded); reused
+    #                  as unigram build side ×2 + bigram probe + totals
     uni = counts.map_batches(
         lambda t: t.filter(pc.equal(t.column("w2"), "")).select(["w1", "c"]),
         batch_format="pyarrow",
@@ -4420,8 +4227,7 @@ def q_bigram_pmi(sf_dir: str):
         u2 = uni.map_batches(
             lambda t: t.rename_columns(["w2", "cy"]),
             batch_format="pyarrow").repartition(n_blk)
-        np_j = max(2, min(dd.derive_buckets(n_vocab),
-                          int(ray.cluster_resources().get("CPU", 8)) // 4))
+        np_j = _join_parts(n_vocab, cpu_div=4, lo=2)
         joined = cand.join(
             u1, "inner", np_j, on=("w1",), right_on=("w1",),
             aggregator_ray_remote_args=_join_remote_args(np_j),
@@ -4637,17 +4443,6 @@ def q_ntile_deciles(sf_dir: str):
     # value groups (a per-value map_groups invoked Python 523× at
     # sf0.1 and cost 7.3 s; same-value rows still co-locate because
     # the bucket key is a pure function of the value)
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    nb_t = max(8, min(64, cpus * 2))
-
-    def add_bucket(df):
-        v = df["n_chars"].to_numpy(np.int64)
-        return pd.DataFrame({
-            "doc_id": df["doc_id"].to_numpy(np.int64),
-            "n_chars": v,
-            "bucket": (v % nb_t).astype(np.int32),
-        })
-
     def tile_bucket(g):
         vs_b, off_b = sim.resolve_broadcast(off_ref, key="ntile-offsets")
         g = g.sort_values(["n_chars", "doc_id"], kind="mergesort")
@@ -4674,9 +4469,8 @@ def q_ntile_deciles(sf_dir: str):
                  "max_chars": "int64"})
 
     return (
-        ds.map_batches(add_bucket, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(tile_bucket, batch_format="pandas")
+        dd.bucketed_close(ds, "n_chars", tile_bucket, rows=n_total,
+                          batch_format="pandas")
         .groupby("decile")
         .aggregate(Sum("n_docs", alias_name="n_docs"),
                    Min("min_chars", alias_name="min_chars"),
@@ -4697,10 +4491,6 @@ def q_next_event_gap(sf_dir: str):
     import pandas as pd
 
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id"])
-    nb = dd.derive_buckets(ds.count())
-
-    def bucketize(df):
-        return df.assign(bucket=(df["user_id"] % nb).astype("int32"))
 
     def gaps(g):
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -4716,11 +4506,8 @@ def q_next_event_gap(sf_dir: str):
             "gap_us": gap,
         })
 
-    return (
-        ds.map_batches(bucketize, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(gaps, batch_format="pandas")
-    )
+    return dd.bucketed_close(ds, "user_id", gaps, rows=ds.count(),
+                             batch_format="pandas")
 
 
 SALT_FANOUT = 8
@@ -4766,8 +4553,7 @@ def q_salted_user_join(sf_dir: str):
     hot_ref = ray.put(frozenset(int(u) for u in hot))
 
     cust = _read(sf_dir, "customer", ["c_custkey", "c_name"])
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    np_j = max(2, min(dd.derive_buckets(n_events), cpus // 4))
+    np_j = _join_parts(n_events, cpu_div=4, lo=2)
 
     # explicit schemas so an EMPTY split (all-hot or all-cold plans)
     # still feeds the hash join a typed side
@@ -4854,7 +4640,6 @@ def q_normalized_dedup(sf_dir: str):
     from ..functions import textstats as ts
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    nb = dd.derive_buckets(ds.count())
     sw = frozenset(ts.STOPWORDS)
 
     def keyed(df):
@@ -4864,22 +4649,16 @@ def q_normalized_dedup(sf_dir: str):
             ).encode()).hexdigest()
             for x in df["text"]
         ]
-        out = pd.DataFrame({"doc_id": df["doc_id"].to_numpy(np.int64),
-                            "norm_md5": hs})
-        return out
+        return pd.DataFrame({"doc_id": df["doc_id"].to_numpy(np.int64),
+                             "norm_md5": hs})
 
     def reduce_bucket(g):
         s = g.groupby("norm_md5", as_index=False).agg(
             rep_doc_id=("doc_id", "min"), n_copies=("doc_id", "size"))
         return s.astype({"rep_doc_id": "int64", "n_copies": "int64"})
 
-    return (
-        ds.map_batches(keyed, batch_format="pandas")
-        .map_batches(lambda t: _crc_bucket_col(t, "norm_md5", nb),
-                     batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(reduce_bucket, batch_format="pandas")
-    )
+    return dd.bucketed_close(ds, "norm_md5", reduce_bucket, rows=ds.count(),
+                             partial=keyed, batch_format="pandas")
 
 
 def q_event_cooccurrence(sf_dir: str):
@@ -4895,7 +4674,6 @@ def q_event_cooccurrence(sf_dir: str):
     import pandas as pd
 
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
-    nb = dd.derive_buckets(ds.count())
 
     def distinct_pairs(df):
         d = df[["user_id", "event_type"]].drop_duplicates()
@@ -4903,7 +4681,6 @@ def q_event_cooccurrence(sf_dir: str):
             "user_id": d["user_id"].to_numpy(np.int64),
             "event_type": d["event_type"].to_numpy(),
         })
-        out["bucket"] = (out["user_id"] % nb).astype("int32")
         return out
 
     def user_pairs(g):
@@ -4920,9 +4697,8 @@ def q_event_cooccurrence(sf_dir: str):
         return s.astype({"n_users": "int64"})
 
     return (
-        ds.map_batches(distinct_pairs, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(user_pairs, batch_format="pandas")
+        dd.bucketed_close(ds, "user_id", user_pairs, rows=ds.count(),
+                          partial=distinct_pairs, batch_format="pandas")
         .groupby(["type_a", "type_b"])
         .aggregate(Sum("n_users", alias_name="n_users"))
     )
@@ -5003,8 +4779,7 @@ def q_dense_order_grid(sf_dir: str):
         sf_dir, "orders", ["o_custkey", "o_orderdate", "o_totalprice"]
     ).map_batches(pre_rollup, batch_format="pyarrow")
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    np_j = max(2, min(dd.derive_buckets(n_orders), cpus // 2))
+    np_j = _join_parts(n_orders, lo=2)
 
     def rollup(df):
         g = df.groupby(["c_nationkey", "order_year"], as_index=False).agg(
@@ -5181,8 +4956,7 @@ def q_nation_revenue(sf_dir: str):
 
     lrev = li.map_batches(li_partial, batch_format="pandas")
 
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    n_part = max(8, min(dd.derive_buckets(orders.count()), cpus // 2))
+    n_part = _join_parts(orders.count())
     j1 = ofil if cref is not None else ofil.join(
         cust, "inner", n_part,
         on=("o_custkey",), right_on=("c_custkey",),
@@ -5278,8 +5052,7 @@ def q_local_supplier_volume(sf_dir: str):
 
     lrev = li.map_batches(li_map, batch_format="pandas")
 
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    n_part = max(8, min(dd.derive_buckets(orders.count()), cpus // 2))
+    n_part = _join_parts(orders.count())
     j1 = ofil if cref is not None else ofil.join(
         cust, "inner", n_part,
         on=("o_custkey",), right_on=("c_custkey",),
@@ -5335,13 +5108,11 @@ def q_lang_median_chars(sf_dir: str):
     import pandas as pd
 
     docs = _read(sf_dir, "documents", ["lang", "n_chars"])
-    nb = dd.derive_buckets(docs.count(), rows_per_doc=1, floor=16)
 
     def partial(df):
         g = df.groupby(["lang", "n_chars"], as_index=False).agg(
             n=("n_chars", "size"))
         g["n"] = g["n"].astype("int64")
-        g["bucket"] = (g["n_chars"].to_numpy(np.int64) % nb).astype("int32")
         return g
 
     def hist_reduce(g):
@@ -5368,9 +5139,8 @@ def q_lang_median_chars(sf_dir: str):
         })
 
     return (
-        docs.map_batches(partial, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(hist_reduce, batch_format="pandas")
+        dd.bucketed_close(docs, "n_chars", hist_reduce, rows=docs.count(),
+                          floor=16, partial=partial, batch_format="pandas")
         .groupby("lang")
         .map_groups(lang_quantiles, batch_format="pandas")
     )
@@ -5403,14 +5173,6 @@ def q_rare_token_score(sf_dir: str):
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     n_docs = docs.count()
 
-    n_gb = dd.derive_buckets(n_docs, rows_per_doc=32)
-
-    def count_bucketize(b: pa.Table) -> pa.Table:
-        t = tx.token_count_partial(b)
-        th = t.column("th").to_numpy().view(np.uint64)
-        bk = (th % np.uint64(n_gb)).astype(np.int32)
-        return t.append_column("bucket", pa.array(bk))
-
     def count_reduce(g):
         s = g.groupby("th", as_index=False).agg(cnt=("cnt", "sum"))
         s = s.astype({"th": "int64", "cnt": "int64"}).rename(
@@ -5419,9 +5181,8 @@ def q_rare_token_score(sf_dir: str):
             s, preserve_index=False).replace_schema_metadata(None)
 
     counts = (
-        docs.map_batches(count_bucketize, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(count_reduce, batch_format="pandas")
+        dd.bucketed_close(docs, "th", count_reduce, rows=n_docs,
+                          rows_per_doc=32, partial=tx.token_count_partial)
         # consolidate: an all-empty bucket otherwise emits a
         # zero-schema block that poisons the join's right side
         .repartition(max(1, min(32, -(-n_docs // 25_000))))
@@ -5430,15 +5191,12 @@ def q_rare_token_score(sf_dir: str):
     total = int(counts.sum("cnt"))
 
     probe = docs.map_batches(tx.rare_token_rows, batch_format="pyarrow")
-    cpus = int(ray.cluster_resources().get("CPU", 8))
     # post-join combiner width == num_partitions (see dup_gram_mass)
-    n_part = max(8, min(dd.derive_buckets(n_docs, rows_per_doc=64), cpus))
+    n_part = _join_parts(n_docs, rows_per_doc=64, cpu_div=1)
     joined = probe.join(
         counts, "inner", n_part, on=("th",), right_on=("th_r",),
         aggregator_ray_remote_args=_join_remote_args(n_part),
     )
-
-    n_db = dd.derive_buckets(n_docs)
 
     def score_partial(df):
         # int64-exact per-doc fold (np.add.at, not float bincount —
@@ -5449,10 +5207,7 @@ def q_rare_token_score(sf_dir: str):
                            return_inverse=True)
         sums = np.zeros(len(u), np.int64)
         np.add.at(sums, inv, sc)
-        return pd.DataFrame({
-            "doc_id": u, "rarity_score": sums,
-            "bucket": (u % n_db).astype("int32"),
-        })
+        return pd.DataFrame({"doc_id": u, "rarity_score": sums})
 
     def doc_reduce(g):
         s = g.groupby("doc_id", as_index=False).agg(
@@ -5462,9 +5217,8 @@ def q_rare_token_score(sf_dir: str):
                              ascending=False).head(RARITY_TOP_K)
 
     out = (
-        joined.map_batches(score_partial, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(doc_reduce, batch_format="pandas")
+        dd.bucketed_close(joined, "doc_id", doc_reduce, rows=n_docs,
+                          partial=score_partial, batch_format="pandas")
         .sort(["rarity_score", "neg_id"], descending=True)
         .limit(RARITY_TOP_K)
     )
@@ -5507,13 +5261,11 @@ def q_active_streaks(sf_dir: str):
     import pandas as pd
 
     ds = _read(sf_dir, "events", ["user_id", "ts"])
-    nb = dd.derive_buckets(ds.count())
 
     def partial(df):
         day = df["ts"].to_numpy("datetime64[D]").astype(np.int64)
         out = pd.DataFrame({"user_id": df["user_id"].to_numpy(np.int64),
                             "day": day}).drop_duplicates()
-        out["bucket"] = (out["user_id"] % nb).astype("int32")
         return out
 
     def reduce_bucket(g):
@@ -5534,11 +5286,8 @@ def q_active_streaks(sf_dir: str):
         return out.astype({"user_id": "int64", "max_streak": "int64",
                            "n_active_days": "int64"})
 
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(reduce_bucket, batch_format="pandas")
-    )
+    return dd.bucketed_close(ds, "user_id", reduce_bucket, rows=ds.count(),
+                             partial=partial, batch_format="pandas")
 
 
 # --- T94: cohort retention matrix ------------------------------------
@@ -5559,13 +5308,11 @@ def q_cohort_retention(sf_dir: str):
     import pandas as pd
 
     ds = _read(sf_dir, "events", ["user_id", "ts"])
-    nb = dd.derive_buckets(ds.count())
 
     def partial(df):
         day = df["ts"].to_numpy("datetime64[D]").astype(np.int64)
         out = pd.DataFrame({"user_id": df["user_id"].to_numpy(np.int64),
                             "wk": day // 7}).drop_duplicates()
-        out["bucket"] = (out["user_id"] % nb).astype("int32")
         return out
 
     def reduce_bucket(g):
@@ -5580,9 +5327,8 @@ def q_cohort_retention(sf_dir: str):
                            "n_users": "int64"})
 
     return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(reduce_bucket, batch_format="pandas")
+        dd.bucketed_close(ds, "user_id", reduce_bucket, rows=ds.count(),
+                          partial=partial, batch_format="pandas")
         .groupby(["cohort_week", "week_offset"])
         .aggregate(Sum("n_users", alias_name="n_users"))
     )
@@ -5657,8 +5403,7 @@ def q_promo_revenue(sf_dir: str):
                 {"p_partkey": df["p_partkey"].to_numpy(np.int64),
                  "isp": (df["p_type"] == "PROMO").to_numpy(bool)})
 
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        n_part_j = max(8, min(dd.derive_buckets(n_parts), cpus // 2))
+        n_part_j = _join_parts(n_parts)
         j = li.map_batches(li_proj, batch_format="pandas").join(
             part.map_batches(part_proj, batch_format="pandas"),
             "inner", n_part_j,
@@ -5712,7 +5457,6 @@ def q_latest_order_per_customer(sf_dir: str):
 
     ds = _read(sf_dir, "orders",
                ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"])
-    nb = dd.derive_buckets(ds.count())
 
     def argmax_rows(df):
         df = df.sort_values(["o_custkey", "o_orderdate", "o_orderkey"],
@@ -5721,21 +5465,16 @@ def q_latest_order_per_customer(sf_dir: str):
         return df.drop_duplicates("o_custkey", keep="first")
 
     def partial(df):
-        out = argmax_rows(pd.DataFrame({
+        return argmax_rows(pd.DataFrame({
             "o_custkey": df["o_custkey"].to_numpy(np.int64),
             "o_orderkey": df["o_orderkey"].to_numpy(np.int64),
             "o_orderdate": df["o_orderdate"],
             "price_c": _cents_col(df["o_totalprice"]),
         }))
-        return out.assign(bucket=(out["o_custkey"].to_numpy(np.int64)
-                                  % nb).astype("int32"))
 
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(lambda g: argmax_rows(g).drop(columns=["bucket"]),
-                    batch_format="pandas")
-    )
+    return dd.bucketed_close(
+        ds, "o_custkey", lambda g: argmax_rows(g).drop(columns=["bucket"]),
+        rows=ds.count(), partial=partial, batch_format="pandas")
 
 
 # --- T97: LAG over an aggregated series (month-over-month ratio) ------
@@ -5799,7 +5538,6 @@ def q_sentence_dedup(sf_dir: str):
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     n_docs = docs.count()
-    nb = dd.derive_buckets(n_docs, rows_per_doc=8)
 
     def explode(batch: pa.Table) -> pa.Table:
         o_id: list[int] = []
@@ -5817,8 +5555,6 @@ def q_sentence_dedup(sf_dir: str):
             "doc_id": pa.array(o_id, pa.int64()),
             "sent_idx": pa.array(o_idx, pa.int64()),
             "sh": pa.array(sh, pa.int64()),
-            "bucket": pa.array(
-                (sh.view(np.uint64) % np.uint64(nb)).astype(np.int32)),
         })
 
     def mark(g: "pd.DataFrame") -> "pd.DataFrame":
@@ -5834,11 +5570,8 @@ def q_sentence_dedup(sf_dir: str):
             "winner_sent_idx": win["sent_idx"].to_numpy(np.int64),
         })
 
-    return (
-        docs.map_batches(explode, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(mark, batch_format="pandas")
-    )
+    return dd.bucketed_close(docs, "sh", mark, rows=n_docs, rows_per_doc=8,
+                             partial=explode)
 
 
 def q_doc_chunks(sf_dir: str):
@@ -6012,13 +5745,6 @@ def q_oov_rate(sf_dir: str):
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     n_docs = docs.count()
-    nb = dd.derive_buckets(n_docs, rows_per_doc=32)
-
-    def bucketize(b: pa.Table) -> pa.Table:
-        t = tx.token_count_partial(b)
-        th = t.column("th").to_numpy().view(np.uint64)
-        return t.append_column(
-            "bucket", pa.array((th % np.uint64(nb)).astype(np.int32)))
 
     def vocab_reduce(g):
         s = g.groupby("th", as_index=False).agg(cnt=("cnt", "sum"))
@@ -6028,12 +5754,10 @@ def q_oov_rate(sf_dir: str):
             "th": s["th"].to_numpy(np.int64)[order],
             "cnt": s["cnt"].to_numpy(np.int64)[order]})
 
-    vk = (
-        docs.map_batches(bucketize, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(vocab_reduce, batch_format="pandas")
-        .to_pandas()  # ≤ VOCAB_K·n_buckets rows by the partial top-K
-    )
+    vk = dd.bucketed_close(
+        docs, "th", vocab_reduce, rows=n_docs, rows_per_doc=32,
+        partial=tx.token_count_partial,
+    ).to_pandas()  # ≤ VOCAB_K·n_buckets rows by the partial top-K
     thu = vk["th"].to_numpy(np.int64).view(np.uint64)
     order = np.lexsort((thu, -vk["cnt"].to_numpy(np.int64)))[:VOCAB_K]
     vocab = np.sort(thu[order])  # sorted uint64 → searchsorted probes
@@ -6087,12 +5811,10 @@ def q_new_users_daily(sf_dir: str):
     import pandas as pd
 
     ds = _read(sf_dir, "events", ["user_id", "ts"])
-    nb = dd.derive_buckets(ds.count())
 
     def partial(df):
         g = df.groupby("user_id", as_index=False).agg(
             first_ts=("ts", "min"))
-        g["bucket"] = (g["user_id"] % nb).astype("int32")
         return g
 
     def reduce_bucket(g):
@@ -6105,9 +5827,8 @@ def q_new_users_daily(sf_dir: str):
         return out
 
     per_day = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(reduce_bucket, batch_format="pandas")
+        dd.bucketed_close(ds, "user_id", reduce_bucket, rows=ds.count(),
+                          partial=partial, batch_format="pandas")
         .groupby("day")
         .aggregate(Sum("n_new_users", alias_name="n_new_users"))
     ).to_pandas()
@@ -6136,20 +5857,14 @@ def q_heavy_hitters_cms(sf_dir: str):
     nb = dd.derive_buckets(total)
 
     # exact user cardinality (threshold input): bucketed distinct
-    def upart(df):
-        g = df.drop_duplicates(["user_id"]).copy()
-        g["bucket"] = (g["user_id"] % nb).astype("int32")
-        return g[["bucket", "user_id"]]
-
     def ucount(g):
         return pd.DataFrame({"n": [int(g["user_id"].nunique())]})
 
-    n_users = int(
-        ds.map_batches(upart, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(ucount, batch_format="pandas")
-        .sum(on="n")
-    )
+    n_users = int(dd.bucketed_close(
+        ds, "user_id", ucount, rows=total,
+        partial=lambda df: df.drop_duplicates(["user_id"]),
+        batch_format="pandas",
+    ).sum(on="n"))
     # count*users*10 >= 12*total  ⇔  count >= ceil(12·total / (10·users))
     thr = -(-12 * total // (10 * n_users))
 
@@ -6206,10 +5921,6 @@ def q_zipf_slope(sf_dir: str):
     import pandas as pd
 
     ds = _read(sf_dir, "documents", ["lang", "text"])
-    nb = dd.derive_buckets(ds.count(), rows_per_doc=8)
-
-    def part(b: pa.Table) -> pa.Table:
-        return _crc_bucket_col(tx.lang_word_partial_counts(b), "word", nb)
 
     def reduce_top(g):
         s = g.groupby(["lang", "word"], as_index=False).agg(n=("n", "sum"))
@@ -6218,11 +5929,9 @@ def q_zipf_slope(sf_dir: str):
         s = s.groupby("lang", sort=False).head(ZIPF_RANKS)
         return s.astype({"n": "int64"})
 
-    tbl = (
-        ds.map_batches(part, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(reduce_top, batch_format="pandas")
-    ).to_pandas()
+    tbl = dd.bucketed_close(
+        ds, "word", reduce_top, rows=ds.count(), rows_per_doc=8,
+        partial=tx.lang_word_partial_counts).to_pandas()
     tbl = tbl.sort_values(["lang", "n", "word"],
                           ascending=[True, False, True], kind="mergesort")
     tbl = tbl.groupby("lang", sort=False).head(ZIPF_RANKS)
@@ -6274,12 +5983,6 @@ def q_bpe_pair_merge(sf_dir: str):
     import pandas as pd
 
     ds = _read(sf_dir, "documents", ["text"])
-    nb = dd.derive_buckets(ds.count(), rows_per_doc=8)
-
-    def part(b: pa.Table) -> pa.Table:
-        t = tx.token_pair_partial_counts(b)
-        bk = (np.asarray(t.column("pair_code")) % nb).astype(np.int32)
-        return t.append_column("bucket", pa.array(bk, pa.int32()))
 
     def reduce_top(g):
         s = g.groupby("pair_code", as_index=False).agg(n=("n", "sum"))
@@ -6287,11 +5990,9 @@ def q_bpe_pair_merge(sf_dir: str):
                           kind="mergesort").head(20)
         return s.astype({"pair_code": "int64", "n": "int64"})
 
-    top = (
-        ds.map_batches(part, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(reduce_top, batch_format="pandas")
-    ).to_pandas()
+    top = dd.bucketed_close(
+        ds, "pair_code", reduce_top, rows=ds.count(), rows_per_doc=8,
+        partial=tx.token_pair_partial_counts).to_pandas()
     top = top.sort_values(["n", "pair_code"], ascending=[False, True],
                           kind="mergesort").head(20)
     return pd.DataFrame({
@@ -6356,10 +6057,7 @@ def q_domain_degrees(sf_dir: str):
     emitted as one union stream and merged per domain-hash BUCKET (no
     driver-side outer join — at web scale the domain axis itself is
     too wide for the driver)."""
-    import pandas as pd
-
     edges = _link_edges(sf_dir)
-    nb = 32
 
     def sides(b: pa.Table) -> pa.Table:
         import pandas as _pd
@@ -6372,11 +6070,7 @@ def q_domain_degrees(sf_dir: str):
             "domain": df["dst_domain"], "out_degree": 0, "out_links": 0,
             "in_degree": 1, "in_links": df["n_links"]})
         u = _pd.concat([out, inn], ignore_index=True)
-        u = u.groupby("domain", as_index=False).sum()
-        u["bucket"] = pd.Series(
-            [zlib.crc32(s.encode()) % nb for s in u["domain"]],
-            dtype="int32")
-        return u
+        return u.groupby("domain", as_index=False).sum()
 
     def merge(g):
         s = g.groupby("domain", as_index=False).agg(
@@ -6388,11 +6082,7 @@ def q_domain_degrees(sf_dir: str):
             s[c] = s[c].astype("int64")
         return s
 
-    return (
-        edges.map_batches(sides, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(merge, batch_format="pandas")
-    )
+    return dd.bucketed_close(edges, "domain", merge, partial=sides)
 
 
 def q_reciprocal_links(sf_dir: str):
@@ -6405,7 +6095,6 @@ def q_reciprocal_links(sf_dir: str):
     import pandas as pd
 
     edges = _link_edges(sf_dir)
-    nb = 32
 
     def norm(b: pa.Table) -> pa.Table:
         df = b.to_pandas()
@@ -6416,12 +6105,7 @@ def q_reciprocal_links(sf_dir: str):
             "domain_a": lo, "domain_b": hi,
             "n_ab": np.where(fwd, df["n_links"], 0).astype(np.int64),
             "n_ba": np.where(fwd, 0, df["n_links"]).astype(np.int64)})
-        out = out[out["domain_a"] != out["domain_b"]]
-        out["bucket"] = pd.Series(
-            [zlib.crc32((a + "|" + b_).encode()) % nb
-             for a, b_ in zip(out["domain_a"], out["domain_b"])],
-            index=out.index, dtype="int32")
-        return out
+        return out[out["domain_a"] != out["domain_b"]]
 
     def pivot(g):
         s = g.groupby(["domain_a", "domain_b"], as_index=False).agg(
@@ -6431,11 +6115,8 @@ def q_reciprocal_links(sf_dir: str):
         s["n_ba"] = s["n_ba"].astype("int64")
         return s
 
-    return (
-        edges.map_batches(norm, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(pivot, batch_format="pandas")
-    )
+    return dd.bucketed_close(edges, ["domain_a", "domain_b"], pivot,
+                             partial=norm)
 
 
 PAGERANK_ITERS = 20
@@ -6536,26 +6217,17 @@ def _und_edges(sf_dir: str):
     import pandas as pd
 
     edges = _link_edges(sf_dir)
-    nb = 32
 
     def norm(b: pa.Table) -> pa.Table:
         df = b.to_pandas()
         lo = df[["src_domain", "dst_domain"]].min(axis=1)
         hi = df[["src_domain", "dst_domain"]].max(axis=1)
         out = pd.DataFrame({"a": lo, "b": hi})
-        out = out[out["a"] != out["b"]].drop_duplicates()
-        out["bucket"] = pd.Series(
-            [zlib.crc32((a + "|" + b_).encode()) % nb
-             for a, b_ in zip(out["a"], out["b"])],
-            index=out.index, dtype="int32")
-        return out
+        return out[out["a"] != out["b"]].drop_duplicates()
 
-    return (
-        edges.map_batches(norm, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(lambda g: g[["a", "b"]].drop_duplicates(),
-                    batch_format="pandas")
-    )
+    return dd.bucketed_close(
+        edges, ["a", "b"], lambda g: g[["a", "b"]].drop_duplicates(),
+        partial=norm)
 
 
 def _endpoint_nodes(edges):
@@ -6619,8 +6291,6 @@ def _triangles_from(und, deg_pd):
 
     deg = dict(zip(deg_pd["domain"], deg_pd["deg"].astype(int)))
     dref = ray.put(deg)
-    nb_src = 32
-    nb_pair = 32
 
     def orient(b: pa.Table) -> pa.Table:
         d = sim.resolve_broadcast(dref, key="tri-degrees")
@@ -6635,12 +6305,8 @@ def _triangles_from(und, deg_pd):
         dst = np.where(fwd, bn, an)
         sdeg = np.where(fwd, da, db_)
         ddeg = np.where(fwd, db_, da)
-        out = pd.DataFrame({"src": src, "dst": dst,
-                            "src_deg": sdeg, "dst_deg": ddeg})
-        out["bucket"] = pd.Series(
-            [zlib.crc32(s.encode()) % nb_src for s in out["src"]],
-            index=out.index, dtype="int32")
-        return out
+        return pd.DataFrame({"src": src, "dst": dst,
+                             "src_deg": sdeg, "dst_deg": ddeg})
 
     oriented = und.map_batches(orient, batch_format="pyarrow").materialize()
 
@@ -6665,31 +6331,16 @@ def _triangles_from(und, deg_pd):
             return pd.DataFrame({"v": pd.Series([], dtype=object),
                                  "w": pd.Series([], dtype=object),
                                  "u": pd.Series([], dtype=object),
-                                 "is_edge": pd.Series([], dtype=bool),
-                                 "pair_bucket": pd.Series([], dtype="int32")})
+                                 "is_edge": pd.Series([], dtype=bool)})
         v = np.concatenate(va)
         w = np.concatenate(wa)
-        out = pd.DataFrame({"v": v, "w": w, "u": ua, "is_edge": False})
-        out["pair_bucket"] = pd.Series(
-            [zlib.crc32((a + "|" + b_).encode()) % nb_pair
-             for a, b_ in zip(out["v"], out["w"])],
-            index=out.index, dtype="int32")
-        return out
+        return pd.DataFrame({"v": v, "w": w, "u": ua, "is_edge": False})
 
-    def edge_rows(b: pa.Table) -> pa.Table:
-        import pandas as pd
-        df = b.to_pandas()
-        out = pd.DataFrame({"v": df["src"], "w": df["dst"], "u": "",
-                            "is_edge": True})
-        out["pair_bucket"] = pd.Series(
-            [zlib.crc32((a + "|" + b_).encode()) % nb_pair
-             for a, b_ in zip(out["v"], out["w"])],
-            index=out.index, dtype="int32")
-        return out
+    def edge_rows(df):
+        return pd.DataFrame({"v": df["src"], "w": df["dst"], "u": "",
+                             "is_edge": True})
 
-    wedge_ds = oriented.groupby("bucket").map_groups(
-        wedges, batch_format="pandas")
-    edge_ds = oriented.map_batches(edge_rows, batch_format="pyarrow")
+    wedge_ds = dd.bucketed_close(oriented, "src", wedges)
 
     def close(g):
         import pandas as pd
@@ -6707,8 +6358,9 @@ def _triangles_from(und, deg_pd):
                              "domain_b": names[:, 1],
                              "domain_c": names[:, 2]})
 
-    return wedge_ds.union(edge_ds).groupby("pair_bucket").map_groups(
-        close, batch_format="pandas")
+    return dd.bucketed_close(wedge_ds, ["v", "w"], close,
+                             union=[(oriented, edge_rows)],
+                             batch_format="pandas")
 
 
 def q_domain_triangles(sf_dir: str):
@@ -6756,7 +6408,6 @@ def q_domain_clustering(sf_dir: str):
     deg_ds = _degree_ds(und).materialize()
     degs = deg_ds.to_pandas()  # orientation broadcast only (O(nodes))
     tri = _triangles_from(und, degs)
-    nb = 32
 
     def explode(b: pa.Table) -> pa.Table:
         df = b.to_pandas()
@@ -6771,26 +6422,19 @@ def q_domain_clustering(sf_dir: str):
         return pd.DataFrame({
             "domain": df["domain"],
             "deg": np.zeros(len(df), np.int64),
-            "n_tri": df["n_tri"].to_numpy(np.int64),
-            "bucket": pd.Series(
-                [zlib.crc32(s.encode()) % nb for s in df["domain"]],
-                index=df.index, dtype="int32")})
+            "n_tri": df["n_tri"].to_numpy(np.int64)})
 
     def tag_deg(df):
         return pd.DataFrame({
             "domain": df["domain"],
             "deg": df["deg"].to_numpy(np.int64),
-            "n_tri": np.zeros(len(df), np.int64),
-            "bucket": pd.Series(
-                [zlib.crc32(s.encode()) % nb for s in df["domain"]],
-                index=df.index, dtype="int32")})
+            "n_tri": np.zeros(len(df), np.int64)})
 
     # per-batch triangle-count partials feed the bucketed close
     # DIRECTLY — close() sums per domain inside the bucket, so a
     # separate domain-keyed aggregate before it would be a second
     # all-to-all for nothing (measured: 7.0 -> ~5 s at sf0.1)
-    tv = tri.map_batches(explode, batch_format="pyarrow").map_batches(
-        tag_tri, batch_format="pandas")
+    tv = tri.map_batches(explode, batch_format="pyarrow")
 
     def close(g):
         s = g.groupby("domain", as_index=False).agg(
@@ -6803,12 +6447,8 @@ def q_domain_clustering(sf_dir: str):
         return s[["domain", "n_tri", "deg", "coeff_ppm"]].astype(
             {"n_tri": "int64", "deg": "int64", "coeff_ppm": "int64"})
 
-    return (
-        deg_ds.map_batches(tag_deg, batch_format="pandas")
-        .union(tv)
-        .groupby("bucket")
-        .map_groups(close, batch_format="pandas")
-    )
+    return dd.bucketed_close(deg_ds, "domain", close, partial=tag_deg,
+                             union=[(tv, tag_tri)], batch_format="pandas")
 
 
 def q_mad_outliers(sf_dir: str):
@@ -7062,16 +6702,13 @@ def q_sorted_neighborhood_dups(sf_dir: str):
     from ..functions.textstats import levenshtein_capped
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    nb = dd.derive_buckets(ds.count(), floor=8)
 
     def keyed(b: pa.Table) -> pa.Table:
         ks = [(t or "").lower()[:SN_KEY_LEN]
               for t in b.column("text").to_pylist()]
         return pa.Table.from_pydict(
             {"key": pa.array(ks, pa.string()),
-             "doc_id": b.column("doc_id"),
-             "kb": pa.array([zlib.crc32(k.encode()) % nb for k in ks],
-                            pa.int32())})
+             "doc_id": b.column("doc_id")})
 
     rows = ds.map_batches(keyed, batch_format="pyarrow").materialize()
 
@@ -7106,7 +6743,8 @@ def q_sorted_neighborhood_dups(sf_dir: str):
         repl["bucket"] = (repl["bucket"] - 1).astype(np.int32)
         return pd.concat([out, repl], ignore_index=True)
 
-    long = rows.groupby("kb").map_groups(rank_rows, batch_format="pandas")
+    long = dd.bucketed_close(rows, "key", rank_rows, rows=ds.count(),
+                             floor=8)
 
     def sweep(g):
         g = g.sort_values("rank", kind="mergesort")
@@ -7199,7 +6837,6 @@ def q_anchor_texts(sf_dir: str):
 
     files = expand_input_files(_corpus_dir())
     ds = ray.data.read_parquet(files, columns=["html"])
-    nb = 32
 
     def partial(b: pa.Table) -> pa.Table:
         from collections import Counter
@@ -7214,8 +6851,6 @@ def q_anchor_texts(sf_dir: str):
         items = sorted(c.items())
         doms = [k[0] for k, _ in items]
         return pa.Table.from_pydict({
-            "bucket": pa.array(
-                [zlib.crc32(d.encode()) % nb for d in doms], pa.int32()),
             "dst_domain": pa.array(doms, pa.string()),
             "anchor": pa.array([k[1] for k, _ in items], pa.string()),
             "n_links": pa.array([v for _, v in items], pa.int64())})
@@ -7229,11 +6864,7 @@ def q_anchor_texts(sf_dir: str):
         s = s[s["arank"] <= ANCHOR_TOP_K]
         return s.astype({"n_links": "int64", "arank": "int64"})
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(top_k, batch_format="pandas")
-    )
+    return dd.bucketed_close(ds, "dst_domain", top_k, partial=partial)
 
 
 INDEX_POSTING_CAP = 1000
@@ -7254,8 +6885,6 @@ def q_inverted_index(sf_dir: str):
     from ..functions.textstats import tokens as _tokens
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    nb = max(dd.width_floor(),
-             dd.derive_buckets(ds.count(), rows_per_doc=30))
 
     def postings(b: pa.Table) -> pa.Table:
         t_col: list[str] = []
@@ -7266,8 +6895,6 @@ def q_inverted_index(sf_dir: str):
                 t_col.append(w)
                 i_col.append(i)
         return pa.Table.from_pydict({
-            "bucket": pa.array(
-                [zlib.crc32(w.encode()) % nb for w in t_col], pa.int32()),
             "term": pa.array(t_col, pa.string()),
             "doc_id": pa.array(i_col, pa.int64())})
 
@@ -7281,11 +6908,11 @@ def q_inverted_index(sf_dir: str):
         return pd.DataFrame(rows, columns=["term", "df", "postings"]) \
             .astype({"df": "int64"})
 
-    return (
-        ds.map_batches(postings, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(build, batch_format="pandas")
-    )
+    # width-floored: the output (postings) is as large as the exchange
+    return dd.bucketed_close(ds, "term", build, rows=ds.count(),
+                             rows_per_doc=30,
+                             floor=max(32, dd.width_floor()),
+                             partial=postings)
 
 
 # --- T133: calendar range join (in-transit inventory by day) ---------
@@ -7384,13 +7011,6 @@ def q_dsir_weights(sf_dir: str):
 
     docs = _read(sf_dir, "documents", ["doc_id", "text", "lang"])
     n_docs = docs.count()
-    n_gb = dd.derive_buckets(n_docs, rows_per_doc=32)
-
-    def count_bucketize(b: pa.Table) -> pa.Table:
-        t = tx.dsir_count_partial(b)
-        th = t.column("th").to_numpy().view(np.uint64)
-        bk = (th % np.uint64(n_gb)).astype(np.int32)
-        return t.append_column("bucket", pa.array(bk))
 
     def count_reduce(g):
         s = g.groupby("th", as_index=False).agg(
@@ -7401,9 +7021,8 @@ def q_dsir_weights(sf_dir: str):
             s, preserve_index=False).replace_schema_metadata(None)
 
     counts = (
-        docs.map_batches(count_bucketize, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(count_reduce, batch_format="pandas")
+        dd.bucketed_close(docs, "th", count_reduce, rows=n_docs,
+                          rows_per_doc=32, partial=tx.dsir_count_partial)
         .repartition(max(1, min(32, -(-n_docs // 25_000))))
         .materialize()  # vocab-sized; reused for totals + weights
     )
@@ -7422,14 +7041,11 @@ def q_dsir_weights(sf_dir: str):
     weights = counts.map_batches(weigh, batch_format="pandas")
 
     probe = docs.map_batches(tx.rare_token_rows, batch_format="pyarrow")
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    n_part = max(8, min(dd.derive_buckets(n_docs, rows_per_doc=64), cpus))
+    n_part = _join_parts(n_docs, rows_per_doc=64, cpu_div=1)
     joined = probe.join(
         weights, "inner", n_part, on=("th",), right_on=("th_r",),
         aggregator_ray_remote_args=_join_remote_args(n_part),
     )
-
-    n_db = dd.derive_buckets(n_docs)
 
     def score_partial(df):
         sc = df["occ"].to_numpy(np.int64) * df["w"].to_numpy(np.int64)
@@ -7437,20 +7053,15 @@ def q_dsir_weights(sf_dir: str):
                            return_inverse=True)
         sums = np.zeros(len(u), np.int64)
         np.add.at(sums, inv, sc)
-        return pd.DataFrame({
-            "doc_id": u, "dsir_score": sums,
-            "bucket": (u % n_db).astype("int32")})
+        return pd.DataFrame({"doc_id": u, "dsir_score": sums})
 
     def doc_reduce(g):
         s = g.groupby("doc_id", as_index=False).agg(
             dsir_score=("dsir_score", "sum"))
         return s.astype({"doc_id": "int64", "dsir_score": "int64"})
 
-    return (
-        joined.map_batches(score_partial, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(doc_reduce, batch_format="pandas")
-    )
+    return dd.bucketed_close(joined, "doc_id", doc_reduce, rows=n_docs,
+                             partial=score_partial, batch_format="pandas")
 
 
 # --- T135: signed-random-projection LSH embedding near-dups ----------
@@ -7616,9 +7227,6 @@ def q_substring_dup_spans(sf_dir: str):
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     n_docs = ds.count()
-    nwb = max(dd.width_floor(),
-              dd.derive_buckets(n_docs, rows_per_doc=40))
-    ndb = dd.derive_buckets(n_docs)
 
     def win_rows(b: pa.Table) -> pa.Table:
         ids, starts, whs = [], [], []
@@ -7632,8 +7240,6 @@ def q_substring_dup_spans(sf_dir: str):
         wh = np.array(whs, np.uint64).view(np.int64) if whs else \
             np.empty(0, np.int64)
         return pa.Table.from_pydict({
-            "bucket": pa.array((wh.view(np.uint64)
-                                % np.uint64(nwb)).astype(np.int32)),
             "wh": pa.array(wh, pa.int64()),
             "doc_id": pa.array(np.array(ids, np.int64), pa.int64()),
             "start": pa.array(np.array(starts, np.int64), pa.int64())})
@@ -7660,11 +7266,9 @@ def q_substring_dup_spans(sf_dir: str):
         return pd.DataFrame({"doc_id": di[keep],
                              "start": g["start"].to_numpy(np.int64)[keep]})
 
-    dup_rows = (
-        ds.map_batches(win_rows, batch_format="pyarrow", batch_size=256)
-        .groupby("bucket")
-        .map_groups(keep_dups, batch_format="pandas")
-    )
+    dup_rows = dd.bucketed_close(
+        ds, "wh", keep_dups, rows=n_docs, rows_per_doc=40,
+        floor=max(32, dd.width_floor()), partial=win_rows, batch_size=256)
 
     def totals(b: pa.Table) -> pa.Table:
         ids, nw, ln = [], [], []
@@ -7685,21 +7289,11 @@ def q_substring_dup_spans(sf_dir: str):
 
     tot = ds.map_batches(totals, batch_format="pyarrow")
 
-    def add_bucket_dup(df):
+    def dup_side(df):
         df = df.copy()
         df["n_windows"] = np.int64(0)
         df["len"] = np.int64(0)
-        df["bkt"] = (df["doc_id"].to_numpy(np.int64) % ndb).astype("int32")
-        return df[["bkt", "doc_id", "n_windows", "len", "start"]]
-
-    def add_bucket_tot(df):
-        df = df.copy()
-        df["bkt"] = (df["doc_id"].to_numpy(np.int64) % ndb).astype("int32")
-        return df[["bkt", "doc_id", "n_windows", "len", "start"]]
-
-    unioned = dup_rows.map_batches(
-        add_bucket_dup, batch_format="pandas").union(
-        tot.map_batches(add_bucket_tot, batch_format="pandas"))
+        return df[["doc_id", "n_windows", "len", "start"]]
 
     def span_reduce(g):
         rows = []
@@ -7720,8 +7314,9 @@ def q_substring_dup_spans(sf_dir: str):
             "doc_id", "n_windows", "n_dup_windows", "dup_char_ppm"])
         return out.astype({c: "int64" for c in out.columns})
 
-    return unioned.groupby("bkt").map_groups(
-        span_reduce, batch_format="pandas")
+    return dd.bucketed_close(dup_rows, "doc_id", span_reduce, rows=n_docs,
+                             partial=dup_side, union=[(tot, None)],
+                             batch_format="pandas")
 
 
 # --- T137: hashed linear classifier scoring --------------------------
@@ -7802,27 +7397,18 @@ def q_q21_waiting_suppliers(sf_dir: str):
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"])
     n_rows = li.count()
 
-    nob = dd.derive_buckets(n_rows, rows_per_doc=1)
-    nsb = max(8, dd.derive_buckets(n_rows, rows_per_doc=64, floor=8))
-
     def pair_partial(df):
         g = df.groupby(["l_orderkey", "l_suppkey"], as_index=False).agg(
             ms=("l_shipdate", "max"))
         g = g.rename(columns={"l_orderkey": "ok", "l_suppkey": "sk"})
         g["ms"] = g["ms"].astype("int64")
-        g["bkt"] = (g["ok"].to_numpy(np.int64) % nob).astype(np.int32)
-        return g[["bkt", "ok", "sk", "ms"]]
+        return g[["ok", "sk", "ms"]]
 
     def order_rows(df):
         return pd.DataFrame({
-            "bkt": (df["o_orderkey"].to_numpy(np.int64) % nob)
-            .astype(np.int32),
             "ok": df["o_orderkey"].to_numpy(np.int64),
             "sk": np.full(len(df), -1, np.int64),
             "ms": df["o_orderdate"].astype("int64").to_numpy()})
-
-    unioned = li.map_batches(pair_partial, batch_format="pandas").union(
-        orders.map_batches(order_rows, batch_format="pandas"))
 
     def order_verdicts(g):
         dates = g[g["sk"] < 0]
@@ -7838,10 +7424,7 @@ def q_q21_waiting_suppliers(sf_dir: str):
         w = m[m["late"] & m["ok"].isin(good)]
         out = w.groupby("sk", as_index=False).size()
         out.columns = ["s_suppkey", "n_waiting"]
-        out = out.astype({"s_suppkey": "int64", "n_waiting": "int64"})
-        out["sbkt"] = (out["s_suppkey"].to_numpy(np.int64) % nsb) \
-            .astype(np.int32)
-        return out
+        return out.astype({"s_suppkey": "int64", "n_waiting": "int64"})
 
     def supp_reduce(g):
         s = g.groupby("s_suppkey", as_index=False).agg(
@@ -7851,11 +7434,12 @@ def q_q21_waiting_suppliers(sf_dir: str):
         return s.sort_values(["n_waiting", "neg_sk"],
                              ascending=False).head(Q21_TOP_K)
 
+    verdicts = dd.bucketed_close(
+        li, "ok", order_verdicts, rows=n_rows, partial=pair_partial,
+        union=[(orders, order_rows)], batch_format="pandas")
     out = (
-        unioned.groupby("bkt")
-        .map_groups(order_verdicts, batch_format="pandas")
-        .groupby("sbkt")
-        .map_groups(supp_reduce, batch_format="pandas")
+        dd.bucketed_close(verdicts, "s_suppkey", supp_reduce, rows=n_rows,
+                          rows_per_doc=64, floor=8, batch_format="pandas")
         .sort(["n_waiting", "neg_sk"], descending=True)
         .limit(Q21_TOP_K)
     )
@@ -7942,7 +7526,6 @@ def q_sliding_distinct_users(sf_dir: str):
     import pandas as pd
 
     ds = _read(sf_dir, "events", ["user_id", "ts"])
-    nb = dd.derive_buckets(ds.count())
 
     def flags(df):
         h = df["ts"].astype("int64").to_numpy() // US_PER_HOUR
@@ -7952,7 +7535,6 @@ def q_sliding_distinct_users(sf_dir: str):
         w = (d["h"].to_numpy(np.int64)[:, None] + k[None, :]).ravel()
         u = np.repeat(d["u"].to_numpy(np.int64), SLIDE_WINDOW_HOURS)
         out = pd.DataFrame({"w": w, "u": u}).drop_duplicates()
-        out["bucket"] = (out["u"] % nb).astype("int32")
         return out
 
     def bucket_counts(g):
@@ -7964,9 +7546,8 @@ def q_sliding_distinct_users(sf_dir: str):
         return df.groupby("w", as_index=False).agg(n=("n", "sum"))
 
     per_w = (
-        ds.map_batches(flags, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(bucket_counts, batch_format="pandas")
+        dd.bucketed_close(ds, "u", bucket_counts, rows=ds.count(),
+                          partial=flags, batch_format="pandas")
         .repartition(8)
         .map_batches(fold, batch_format="pandas")
         .repartition(1)
@@ -8059,9 +7640,7 @@ def q_nation_trade_volume(sf_dir: str):
         ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount",
          "l_shipdate"]).map_batches(li_map, batch_format="pandas")
 
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    n_part = max(8, min(dd.derive_buckets(
-        _read(sf_dir, "orders", ["o_orderkey"]).count()), cpus // 2))
+    n_part = _join_parts(_read(sf_dir, "orders", ["o_orderkey"]).count())
     j = lfil.join(
         ofil, "inner", n_part,
         on=("l_orderkey",), right_on=("o_orderkey",),
@@ -8186,9 +7765,7 @@ def q_market_share(sf_dir: str):
         ["l_orderkey", "l_partkey", "l_suppkey", "l_extendedprice",
          "l_discount"]).map_batches(li_map, batch_format="pandas")
 
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    n_part = max(8, min(dd.derive_buckets(
-        _read(sf_dir, "orders", ["o_orderkey"]).count()), cpus // 2))
+    n_part = _join_parts(_read(sf_dir, "orders", ["o_orderkey"]).count())
     j = lfil.join(
         ofil, "inner", n_part,
         on=("l_orderkey",), right_on=("o_orderkey",),
@@ -8252,16 +7829,13 @@ def q_returned_items(sf_dir: str):
         ).select(["l_orderkey", "l_extendedprice", "l_discount"]),
         batch_format="pyarrow")
 
-    cpus = int(ray.cluster_resources().get("CPU", 8))
     n_li = _read(sf_dir, "lineitem", ["l_orderkey"]).count()
-    n_part = max(8, min(dd.derive_buckets(n_li), cpus // 2))
+    n_part = _join_parts(n_li)
     j = li.join(
         orders, "inner", n_part,
         on=("l_orderkey",), right_on=("o_orderkey",),
         aggregator_ray_remote_args=_join_remote_args(n_part),
     )
-
-    nb = dd.derive_buckets(n_li)
 
     def partial(df):
         rev = np.floor(
@@ -8270,7 +7844,6 @@ def q_returned_items(sf_dir: str):
             * 1_000_000 + 0.5).astype(np.int64)
         g = df.assign(rev=rev).groupby("o_custkey", as_index=False).agg(
             revenue_micro=("rev", "sum"))
-        g["bucket"] = (g["o_custkey"] % nb).astype("int32")
         return g
 
     def reduce_topk(g):
@@ -8280,10 +7853,10 @@ def q_returned_items(sf_dir: str):
             ["revenue_micro", "o_custkey"], ascending=[False, True],
             kind="mergesort").head(20)
 
-    top = (j.map_batches(partial, batch_format="pandas")
-           .groupby("bucket")
-           .map_groups(reduce_topk, batch_format="pandas")
-           ).to_pandas().sort_values(
+    top = dd.bucketed_close(
+        j, "o_custkey", reduce_topk, rows=n_li, partial=partial,
+        batch_format="pandas",
+    ).to_pandas().sort_values(
         ["revenue_micro", "o_custkey"], ascending=[False, True],
         kind="mergesort").head(20)
 
@@ -8317,12 +7890,10 @@ def q_customer_order_dist(sf_dir: str):
 
     n_cust = _read(sf_dir, "customer", ["c_custkey"]).count()
     orders = _read(sf_dir, "orders", ["o_custkey"])
-    nb = dd.derive_buckets(orders.count())
 
     def partial(df):
         g = df.groupby("o_custkey", as_index=False).agg(
             n=("o_custkey", "size"))
-        g["bucket"] = (g["o_custkey"] % nb).astype("int32")
         return g
 
     def hist_bucket(g):
@@ -8331,10 +7902,9 @@ def q_customer_order_dist(sf_dir: str):
             n_customers=("o_custkey", "size"))
         return h.astype({"n": "int64", "n_customers": "int64"})
 
-    parts = (orders.map_batches(partial, batch_format="pandas")
-             .groupby("bucket")
-             .map_groups(hist_bucket, batch_format="pandas")
-             ).to_pandas()
+    parts = dd.bucketed_close(orders, "o_custkey", hist_bucket,
+                              rows=orders.count(), partial=partial,
+                              batch_format="pandas").to_pandas()
     hist = parts.groupby("n", as_index=False).agg(
         n_customers=("n_customers", "sum"))
     # zero-order customers arithmetically: every customer counted in
@@ -8433,14 +8003,12 @@ def q_incremental_dedup(sf_dir: str):
     the bucket stage on). Reference class: §2.7 idempotent-skip
     (existence probe before convert) lifted to content identity."""
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    nb = dd.derive_buckets(ds.count())
 
     def keyed(b: pa.Table) -> pa.Table:
         t = tx.md5_batch(b).select(["doc_id", "text_md5"])
-        t = t.append_column(
+        return t.append_column(
             "is_new", pa.array(
                 (t.column("doc_id").to_numpy() % 3 == 2), pa.bool_()))
-        return _crc_bucket_col(t, "text_md5", nb)
 
     def reduce_bucket(g):
         agg = g.assign(
@@ -8453,11 +8021,8 @@ def q_incremental_dedup(sf_dir: str):
                    & (agg["doc_id"] != np.iinfo(np.int64).max)]
         return keep[["doc_id", "text_md5"]].astype({"doc_id": "int64"})
 
-    return (
-        ds.map_batches(keyed, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(reduce_bucket, batch_format="pandas")
-    )
+    return dd.bucketed_close(ds, "text_md5", reduce_bucket, rows=ds.count(),
+                             partial=keyed)
 
 
 # --- T149: per-document token Shannon entropy ------------------------
@@ -8679,7 +8244,6 @@ def q_cheapest_supplier(sf_dir: str):
     p_brand = pdf.set_index("p_partkey")["p_brand"].sort_index(
     ).to_numpy(object)
     pref = ray.put(p_keys)
-    nb = 32
 
     def li_partial(df):
         pk = sim.resolve_broadcast(pref, key="cheap-parts")
@@ -8690,22 +8254,19 @@ def q_cheapest_supplier(sf_dir: str):
         packed = pc * (1 << 20) + df["l_suppkey"].to_numpy(
             np.int64)[hit]
         out = pd.DataFrame({"p_partkey": lk[hit], "packed": packed})
-        out = out.groupby("p_partkey", as_index=False).agg(
+        return out.groupby("p_partkey", as_index=False).agg(
             packed=("packed", "min"))
-        out["bucket"] = (out["p_partkey"] % nb).astype("int32")
-        return out
 
     def reduce_bucket(g):
-        m = g.groupby("p_partkey", as_index=False).agg(
+        return g.groupby("p_partkey", as_index=False).agg(
             packed=("packed", "min"))
-        return m
 
-    best = (_read(sf_dir, "lineitem",
-                  ["l_partkey", "l_suppkey", "l_extendedprice"])
-            .map_batches(li_partial, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(reduce_bucket, batch_format="pandas")
-            .to_pandas())  # ≤ |size-15 parts| rows — dimension-sized
+    best = dd.bucketed_close(
+        _read(sf_dir, "lineitem",
+              ["l_partkey", "l_suppkey", "l_extendedprice"]),
+        "p_partkey", reduce_bucket, partial=li_partial,
+        batch_format="pandas",
+    ).to_pandas()  # ≤ |size-15 parts| rows — dimension-sized
     sdf = _read(sf_dir, "supplier", ["s_suppkey", "s_name"]).to_pandas()
     sname = sdf.set_index("s_suppkey")["s_name"]
     pk = best["p_partkey"].to_numpy(np.int64)
@@ -8741,7 +8302,6 @@ def q_returned_priority_counts(sf_dir: str):
 
     ods = _read(sf_dir, "orders",
                 ["o_orderkey", "o_orderdate", "o_orderpriority"])
-    nb = dd.derive_buckets(ods.count())
 
     def ord_side(df):
         d = df["o_orderdate"].to_numpy("datetime64[D]")
@@ -8754,8 +8314,7 @@ def q_returned_priority_counts(sf_dir: str):
             "priority": pd.array(
                 df["o_orderpriority"].to_numpy(object)[m],
                 dtype="string"),
-            "is_order": np.ones(len(ok), bool),
-            "bucket": (ok % nb).astype("int32")})
+            "is_order": np.ones(len(ok), bool)})
 
     def li_side(df):
         ok = np.unique(df["l_orderkey"].to_numpy(np.int64)[
@@ -8764,12 +8323,9 @@ def q_returned_priority_counts(sf_dir: str):
             "okey": ok,
             "priority": pd.array(np.full(len(ok), "", object),
                                  dtype="string"),
-            "is_order": np.zeros(len(ok), bool),
-            "bucket": (ok % nb).astype("int32")})
+            "is_order": np.zeros(len(ok), bool)})
 
-    o = ods.map_batches(ord_side, batch_format="pandas")
-    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_returnflag"]
-               ).map_batches(li_side, batch_format="pandas")
+    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_returnflag"])
 
     def reduce_bucket(g):
         ret = np.unique(g.loc[~g["is_order"], "okey"].to_numpy(
@@ -8781,9 +8337,9 @@ def q_returned_priority_counts(sf_dir: str):
         return out.astype({"n_orders": "int64"})
 
     return (
-        o.union(li)
-        .groupby("bucket")
-        .map_groups(reduce_bucket, batch_format="pandas")
+        dd.bucketed_close(ods, "okey", reduce_bucket, rows=ods.count(),
+                          partial=ord_side, union=[(li, li_side)],
+                          batch_format="pandas")
         .groupby("priority")
         .aggregate(Sum("n_orders", alias_name="n_orders"))
     )
@@ -8864,8 +8420,6 @@ def q_top_suppliers(sf_dir: str):
     supplier names. Reference class: §2.6 global-best selection."""
     import pandas as pd
 
-    nb = 32
-
     def li_partial(df):
         d = df["l_shipdate"].to_numpy("datetime64[D]")
         m = (d >= TOPSUPP_WIN[0]) & (d < TOPSUPP_WIN[1])
@@ -8875,19 +8429,15 @@ def q_top_suppliers(sf_dir: str):
             * 1_000_000 + 0.5).astype(np.int64)
         out = pd.DataFrame(
             {"s": df["l_suppkey"].to_numpy(np.int64)[m], "r": rev})
-        out = out.groupby("s", as_index=False).agg(r=("r", "sum"))
-        out["bucket"] = (out["s"] % nb).astype("int32")
-        return out
+        return out.groupby("s", as_index=False).agg(r=("r", "sum"))
 
-    totals = (_read(sf_dir, "lineitem",
-                    ["l_suppkey", "l_extendedprice", "l_discount",
-                     "l_shipdate"])
-              .map_batches(li_partial, batch_format="pandas")
-              .groupby("bucket")
-              .map_groups(lambda g: g.groupby("s", as_index=False)
-                          .agg(r=("r", "sum")),
-                          batch_format="pandas")
-              ).materialize()  # per-supplier totals — dimension-sized
+    totals = dd.bucketed_close(
+        _read(sf_dir, "lineitem",
+              ["l_suppkey", "l_extendedprice", "l_discount",
+               "l_shipdate"]),
+        "s", lambda g: g.groupby("s", as_index=False).agg(r=("r", "sum")),
+        partial=li_partial, batch_format="pandas",
+    ).materialize()  # per-supplier totals — dimension-sized
     def block_max(df):
         return pd.DataFrame({"m": [int(df["r"].max()) if len(df)
                                    else np.iinfo(np.int64).min]})
@@ -8929,7 +8479,6 @@ def q_idle_rich_customers(sf_dir: str):
 
     cust = _read(sf_dir, "customer",
                  ["c_custkey", "c_acctbal", "c_mktsegment"])
-    nb = dd.derive_buckets(cust.count())
 
     def scal(df):
         seg = df["c_mktsegment"].to_numpy(object)
@@ -8953,8 +8502,7 @@ def q_idle_rich_customers(sf_dir: str):
             "ckey": ck,
             "seg": pd.array(seg[m], dtype="string"),
             "bal": bc[m],
-            "is_cust": np.ones(len(ck), bool),
-            "bucket": (ck % nb).astype("int32")})
+            "is_cust": np.ones(len(ck), bool)})
 
     def ords(df):
         recent = (df["o_orderdate"].to_numpy("datetime64[D]")
@@ -8965,12 +8513,9 @@ def q_idle_rich_customers(sf_dir: str):
             "seg": pd.array(np.full(len(ck), "", object),
                             dtype="string"),
             "bal": np.zeros(len(ck), np.int64),
-            "is_cust": np.zeros(len(ck), bool),
-            "bucket": (ck % nb).astype("int32")})
+            "is_cust": np.zeros(len(ck), bool)})
 
-    c = cust.map_batches(cand, batch_format="pandas")
-    o = _read(sf_dir, "orders", ["o_custkey", "o_orderdate"]
-              ).map_batches(ords, batch_format="pandas")
+    o = _read(sf_dir, "orders", ["o_custkey", "o_orderdate"])
 
     def reduce_bucket(g):
         have = np.unique(g.loc[~g["is_cust"], "ckey"].to_numpy(
@@ -8991,9 +8536,9 @@ def q_idle_rich_customers(sf_dir: str):
                 pa.int64())})
 
     return (
-        c.union(o)
-        .groupby("bucket")
-        .map_groups(reduce_bucket, batch_format="pandas")
+        dd.bucketed_close(cust, "ckey", reduce_bucket, rows=cust.count(),
+                          partial=cand, union=[(o, ords)],
+                          batch_format="pandas")
         .groupby("seg")
         .aggregate(Sum("n_custs", alias_name="n_custs"),
                    Sum("total_bal_cents", alias_name="total_bal_cents"))
@@ -9033,7 +8578,6 @@ def q_brand_supplier_counts(sf_dir: str):
     bad = np.sort(sdf.loc[sdf["s_acctbal"] < 0,
                           "s_suppkey"].to_numpy(np.int64))
     ref = ray.put((p_keys, p_bid.astype(np.int64), p_size, bad))
-    nb = 64
 
     def tri(b: pa.Table) -> pa.Table:
         pk, pbid, psz, bd = sim.resolve_broadcast(ref, key="q16-dims")
@@ -9047,8 +8591,7 @@ def q_brand_supplier_counts(sf_dir: str):
             | sk[keep])
         return pa.Table.from_pydict({
             "packed": pa.array(packed, pa.int64()),
-            "bucket": pa.array(((packed >> 20) % nb).astype(np.int32),
-                               pa.int32())})
+            "bs": pa.array(packed >> 20, pa.int64())})
 
     def reduce_bucket(g):
         bs, cnt = np.unique(
@@ -9057,12 +8600,10 @@ def q_brand_supplier_counts(sf_dir: str):
         return pd.DataFrame({"bs": bs,
                              "supplier_cnt": cnt.astype(np.int64)})
 
-    small = (
-        _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey"])
-        .map_batches(tri, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(reduce_bucket, batch_format="pandas")
-        .to_pandas())  # ≤ |brands|·|sizes| rows — already final
+    small = dd.bucketed_close(
+        _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey"]), "bs",
+        reduce_bucket, floor=64, partial=tri,
+    ).to_pandas()  # ≤ |brands|·|sizes| rows — already final
     bs = small["bs"].to_numpy(np.int64)
     out = pd.DataFrame({
         "p_brand": brands[bs // 64].astype(str),
@@ -9088,10 +8629,6 @@ def q_domain_link_agg(sf_dir: str):
     import pandas as pd
 
     edges = _link_edges(sf_dir)
-    nb = 32
-
-    def keyed(b: pa.Table) -> pa.Table:
-        return _crc_bucket_col(b, "src_domain", nb)
 
     def reduce_bucket(g):
         g = g.sort_values(["src_domain", "dst_domain"],
@@ -9102,11 +8639,7 @@ def q_domain_link_agg(sf_dir: str):
             total_links=("n_links", "sum"))
         return out.astype({"n_dsts": "int64", "total_links": "int64"})
 
-    return (
-        edges.map_batches(keyed, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(reduce_bucket, batch_format="pandas")
-    )
+    return dd.bucketed_close(edges, "src_domain", reduce_bucket)
 
 
 # --- T159: grouped geometric mean (exact log2-micro ints) ------------
@@ -9179,26 +8712,23 @@ def q_bpe_vocab(sf_dir: str):
     from ..functions import textstats as ts
 
     ds = _read(sf_dir, "documents", ["text"])
-    nb = dd.derive_buckets(ds.count())
 
     def keyed(b: pa.Table) -> pa.Table:
         c: Counter = Counter()
         for t in b.column("text").to_pylist():
             c.update(ts.tokens(t))
         items = sorted(c.items())
-        t = pa.Table.from_pydict({
+        return pa.Table.from_pydict({
             "word": pa.array([k for k, _ in items], pa.string()),
             "n": pa.array([v for _, v in items], pa.int64())})
-        return _crc_bucket_col(t, "word", nb)
 
     def reduce_bucket(g):
         out = g.groupby("word", as_index=False).agg(n=("n", "sum"))
         return out.astype({"n": "int64"})
 
-    wf = (ds.map_batches(keyed, batch_format="pyarrow")
-          .groupby("bucket")
-          .map_groups(reduce_bucket, batch_format="pandas")
-          .to_pandas())  # vocab-sized — the GPT-2 trainer's input
+    wf = dd.bucketed_close(
+        ds, "word", reduce_bucket, rows=ds.count(), partial=keyed,
+    ).to_pandas()  # vocab-sized — the GPT-2 trainer's input
 
     words: dict[tuple, int] = {}
     for w, n in zip(wf["word"], wf["n"]):
@@ -9296,23 +8826,18 @@ def q_important_parts(sf_dir: str):
     import pandas as pd
 
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_extendedprice"])
-    nb = 32
 
     def partial(df):
         pc = np.floor(df["l_extendedprice"].to_numpy(np.float64)
                       * 100 + 0.5).astype(np.int64)
         out = pd.DataFrame({"p": df["l_partkey"].to_numpy(np.int64),
                             "v": pc})
-        g = out.groupby("p", as_index=False).agg(v=("v", "sum"))
-        g["bucket"] = (g["p"] % nb).astype("int32")
-        return g
+        return out.groupby("p", as_index=False).agg(v=("v", "sum"))
 
-    per_part = (li.map_batches(partial, batch_format="pandas")
-                .groupby("bucket")
-                .map_groups(lambda g: g.groupby("p", as_index=False)
-                            .agg(v=("v", "sum")),
-                            batch_format="pandas")
-                ).materialize()  # per-part totals, dimension-sized
+    per_part = dd.bucketed_close(
+        li, "p", lambda g: g.groupby("p", as_index=False).agg(v=("v", "sum")),
+        partial=partial, batch_format="pandas",
+    ).materialize()  # per-part totals, dimension-sized
     parts = per_part.map_batches(
         lambda df: pd.DataFrame({"t": [int(df["v"].sum())],
                                  "n": [len(df)]}),
@@ -9451,13 +8976,11 @@ def q_bigram_lm_nll(sf_dir: str):
     and attach nll via one composite-key hash join + a doc-bucketed
     reduce. Payload text never enters any exchange."""
     import pandas as pd
-    import pyarrow.compute as pc
 
     from ..functions import textstats as ts
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     n_docs = ds.count()
-    nb = dd.derive_buckets(n_docs, rows_per_doc=32)
 
     def bigram_partials(df):
         from collections import Counter
@@ -9470,23 +8993,14 @@ def q_bigram_lm_nll(sf_dir: str):
             "w1": [p[0] for p in bi], "w2": [p[1] for p in bi],
             "c": np.asarray([bi[p] for p in bi], np.int64)})
 
-    def bucketize(t: pa.Table) -> pa.Table:
-        key = pc.binary_join_element_wise(
-            t.column("w1"), t.column("w2"), "\x00")
-        return _crc_bucket_col(t.append_column("k", key), "k", nb)
-
     def reduce_counts(g):
         s = g.groupby(["w1", "w2"], as_index=False).agg(c=("c", "sum"))
         return s.astype({"c": "int64"})
 
-    counts = (
-        ds.map_batches(bigram_partials, batch_format="pandas")
-        .map_batches(bucketize, batch_format="pyarrow")
-        .drop_columns(["k"])
-        .groupby("bucket")
-        .map_groups(reduce_counts, batch_format="pandas")
-        .materialize()  # vocab-sized; reused as c1 source + model
-    )
+    counts = dd.bucketed_close(
+        ds, ["w1", "w2"], reduce_counts, rows=n_docs, rows_per_doc=32,
+        partial=bigram_partials, batch_format="pandas",
+    ).materialize()  # vocab-sized; reused as c1 source + model
     gate = int(os.environ.get("LM_BCAST_MAX_BIGRAMS",
                               LM_BCAST_MAX_BIGRAMS))
 
@@ -9533,10 +9047,8 @@ def q_bigram_lm_nll(sf_dir: str):
         s["nll"] = lg(s["c1"]) - lg(s["c"])
         return s[["w1", "w2", "nll"]]
 
-    model = (counts.map_batches(
-        lambda t: _crc_bucket_col(t, "w1", nb), batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(attach_c1, batch_format="pandas"))
+    model = dd.bucketed_close(counts, "w1", attach_c1, rows=n_docs,
+                              rows_per_doc=32)
 
     def probe_rows(df):
         from collections import Counter
@@ -9552,8 +9064,7 @@ def q_bigram_lm_nll(sf_dir: str):
             rows, columns=["doc_id", "w1", "w2", "k"]).astype(
             {"doc_id": "int64", "k": "int64"})
 
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    n_part = max(8, min(nb, cpus // 2))
+    n_part = _join_parts(n_docs, rows_per_doc=32)
     j = ds.map_batches(probe_rows, batch_format="pandas").join(
         model, "inner", n_part, on=("w1", "w2"),
         aggregator_ray_remote_args=_join_remote_args(n_part))
@@ -9564,10 +9075,8 @@ def q_bigram_lm_nll(sf_dir: str):
             "n_bigrams": df["k"].to_numpy(np.int64),
             "tot": df["k"].to_numpy(np.int64)
             * df["nll"].to_numpy(np.int64)})
-        g = out.groupby("doc_id", as_index=False).agg(
+        return out.groupby("doc_id", as_index=False).agg(
             n_bigrams=("n_bigrams", "sum"), tot=("tot", "sum"))
-        g["bucket"] = (g["doc_id"] % nb).astype("int32")
-        return g
 
     def doc_final(g):
         s = g.groupby("doc_id", as_index=False).agg(
@@ -9578,9 +9087,9 @@ def q_bigram_lm_nll(sf_dir: str):
             "nll_log2_micro": (s["tot"].to_numpy(np.int64)
                                // s["n_bigrams"].to_numpy(np.int64))})
 
-    return (j.map_batches(doc_partial, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(doc_final, batch_format="pandas"))
+    return dd.bucketed_close(j, "doc_id", doc_final, rows=n_docs,
+                             rows_per_doc=32, partial=doc_partial,
+                             batch_format="pandas")
 
 
 # --- T166: near-dup cluster representative selection -------------------
@@ -9697,9 +9206,7 @@ def q_nation_year_profit(sf_dir: str):
             "o_year": df["o_orderdate"].dt.year.to_numpy(np.int64)}),
         batch_format="pandas")
 
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    n_part = max(8, min(dd.derive_buckets(
-        _read(sf_dir, "orders", ["o_orderkey"]).count()), cpus // 2))
+    n_part = _join_parts(_read(sf_dir, "orders", ["o_orderkey"]).count())
     j = lfil.join(
         orders, "inner", n_part,
         on=("l_orderkey",), right_on=("o_orderkey",),
@@ -9756,9 +9263,7 @@ def q_ship_delay_modes(sf_dir: str):
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_orderdate", "o_orderpriority"])
 
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    n_part = max(8, min(dd.derive_buckets(
-        _read(sf_dir, "orders", ["o_orderkey"]).count()), cpus // 2))
+    n_part = _join_parts(_read(sf_dir, "orders", ["o_orderkey"]).count())
     j = li.join(
         orders, "inner", n_part,
         on=("l_orderkey",), right_on=("o_orderkey",),
@@ -10033,7 +9538,6 @@ def q_funnel_conversion(sf_dir: str):
     import pandas as pd
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
-    nb = dd.derive_buckets(ds.count())
 
     def partial(df):
         # unit-pinned: pandas may carry ns or us depending on the
@@ -10049,7 +9553,6 @@ def q_funnel_conversion(sf_dir: str):
         p = pd.DataFrame({"user_id": uid[is_p], "ts_us": us[is_p]})
         p["is_click"] = False
         out = pd.concat([c, p], ignore_index=True)
-        out["bucket"] = (out["user_id"] % nb).astype("int32")
         return out.astype({"user_id": "int64", "ts_us": "int64"})
 
     def reduce_bucket(g):
@@ -10072,9 +9575,8 @@ def q_funnel_conversion(sf_dir: str):
             "n_converted": np.array([n_conv], np.int64),
             "sum_delay_micro": np.array([delay], np.int64)})
 
-    parts = (ds.map_batches(partial, batch_format="pandas")
-             .groupby("bucket")
-             .map_groups(reduce_bucket, batch_format="pandas")
+    parts = (dd.bucketed_close(ds, "user_id", reduce_bucket, rows=ds.count(),
+                               partial=partial, batch_format="pandas")
              .to_pandas())  # ≤ n_buckets rows
     return pd.DataFrame({
         "n_click_users": np.array([parts["n_click_users"].sum()],
@@ -10102,10 +9604,8 @@ def q_column_profile(sf_dir: str):
     Exchange is O(batch-distinct values) string rows, never the
     table. NaN/None both count as SQL NULL."""
     import pandas as pd
-    import pyarrow.compute as pc
 
     ds = _read(sf_dir, "events", PROFILE_COLS)
-    nb = dd.derive_buckets(ds.count())
 
     def partial(df):
         col_l, key_l, nr, nn = [], [], [], []
@@ -10125,11 +9625,6 @@ def q_column_profile(sf_dir: str):
             "n_rows": np.asarray(nr, np.int64),
             "n_nulls": np.asarray(nn, np.int64)})
 
-    def bucketize(t: pa.Table) -> pa.Table:
-        k = pc.binary_join_element_wise(
-            t.column("col"), t.column("key"), "\x00")
-        return _crc_bucket_col(t.append_column("k", k), "k", nb)
-
     def reduce_bucket(g):
         cnt = g[g["key"] == ""].groupby("col", as_index=False).agg(
             n_rows=("n_rows", "sum"), n_nulls=("n_nulls", "sum"))
@@ -10140,12 +9635,10 @@ def q_column_profile(sf_dir: str):
         return out.astype({"n_rows": "int64", "n_nulls": "int64",
                            "n_distinct": "int64"})
 
-    parts = (ds.map_batches(partial, batch_format="pandas")
-             .map_batches(bucketize, batch_format="pyarrow")
-             .drop_columns(["k"])
-             .groupby("bucket")
-             .map_groups(reduce_bucket, batch_format="pandas")
-             .to_pandas())  # ≤ cols × buckets rows
+    parts = dd.bucketed_close(
+        ds, ["col", "key"], reduce_bucket, rows=ds.count(),
+        partial=partial, batch_format="pandas",
+    ).to_pandas()  # ≤ cols × buckets rows
     out = parts.groupby("col", as_index=False).agg(
         n_rows=("n_rows", "sum"), n_nulls=("n_nulls", "sum"),
         n_distinct=("n_distinct", "sum"))
@@ -10309,7 +9802,6 @@ def q_fk_integrity(sf_dir: str):
                 2: ray.put(keys_of("part", "p_partkey")),
                 3: ray.put(keys_of("supplier", "s_suppkey"))}
     n_li = _read(sf_dir, "lineitem", ["l_orderkey"]).count()
-    nb = dd.derive_buckets(n_li)
 
     # row kinds in the shared exchange schema
     K_CNT, K_ORPH, K_FACT, K_DIM = 0, 1, 2, 3
@@ -10333,10 +9825,7 @@ def q_fk_integrity(sf_dir: str):
                 np.zeros(len(orph), np.int64))),
             "n2": np.concatenate((
                 np.array([int((~hit).sum())], np.int64),
-                np.zeros(len(orph), np.int64))),
-            "bucket": np.concatenate((
-                np.array([edge], np.int32),
-                (orph % nb).astype(np.int32)))})
+                np.zeros(len(orph), np.int64)))})
 
     def li_map(df):
         ok = df["l_orderkey"].to_numpy(np.int64)
@@ -10345,8 +9834,7 @@ def q_fk_integrity(sf_dir: str):
         fact = pd.DataFrame({
             "edge": np.int8(1), "kind": np.int8(K_FACT), "key": k,
             "n": g["size"].to_numpy(np.int64),
-            "n2": np.zeros(len(k), np.int64),
-            "bucket": (k % nb).astype(np.int32)})
+            "n2": np.zeros(len(k), np.int64)})
         return pd.concat([
             fact,
             _bcast_edge(2, df["l_partkey"].to_numpy(np.int64)),
@@ -10358,18 +9846,11 @@ def q_fk_integrity(sf_dir: str):
         dim = pd.DataFrame({
             "edge": np.int8(1), "kind": np.int8(K_DIM), "key": k,
             "n": np.zeros(len(k), np.int64),
-            "n2": np.zeros(len(k), np.int64),
-            "bucket": (k % nb).astype(np.int32)})
+            "n2": np.zeros(len(k), np.int64)})
         return pd.concat([
             dim,
             _bcast_edge(0, df["o_custkey"].to_numpy(np.int64)),
         ], ignore_index=True)
-
-    unioned = _read(sf_dir, "lineitem",
-                    ["l_orderkey", "l_partkey", "l_suppkey"]
-                    ).map_batches(li_map, batch_format="pandas").union(
-        _read(sf_dir, "orders", ["o_orderkey", "o_custkey"]
-              ).map_batches(ord_map, batch_format="pandas"))
 
     def reduce_bucket(g):
         rows = []
@@ -10400,9 +9881,15 @@ def q_fk_integrity(sf_dir: str):
             rows, columns=["edge", "n_fk_rows", "n_orphan_rows",
                            "n_orphan_keys"]).astype("int64")
 
-    parts = (unioned.groupby("bucket")
-             .map_groups(reduce_bucket, batch_format="pandas")
-             .to_pandas())  # ≤ 4 × n_buckets rows
+    # every row buckets on its key: facts/dims/orphans by value, the
+    # per-edge counters (key −1) all in one bucket, folded per edge
+    parts = dd.bucketed_close(
+        _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey", "l_suppkey"]),
+        "key", reduce_bucket, rows=n_li, partial=li_map,
+        union=[(_read(sf_dir, "orders", ["o_orderkey", "o_custkey"]),
+                ord_map)],
+        batch_format="pandas",
+    ).to_pandas()  # ≤ 4 × n_buckets rows
     agg = parts.groupby("edge", as_index=False).agg(
         n_fk_rows=("n_fk_rows", "sum"),
         n_orphan_rows=("n_orphan_rows", "sum"),
@@ -10443,7 +9930,6 @@ def q_token_drift_kl(sf_dir: str):
     from ..functions import textstats as ts
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    nb = dd.derive_buckets(ds.count(), rows_per_doc=16)
 
     def partials(df):
         from collections import Counter
@@ -10466,14 +9952,10 @@ def q_token_drift_kl(sf_dir: str):
             c1=("c1", "sum"), c2=("c2", "sum"))
         return s.astype({"c1": "int64", "c2": "int64"})
 
-    counts = (
-        ds.map_batches(partials, batch_format="pandas")
-        .map_batches(lambda t: _crc_bucket_col(t, "w", nb),
-                     batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(reduce_counts, batch_format="pandas")
-        .materialize()  # vocab-sized; scalars + term pass reuse it
-    )
+    counts = dd.bucketed_close(
+        ds, "w", reduce_counts, rows=ds.count(), rows_per_doc=16,
+        partial=partials, batch_format="pandas",
+    ).materialize()  # vocab-sized; scalars + term pass reuse it
     n1 = int(counts.sum("c1") or 0)
     n2 = int(counts.sum("c2") or 0)
     v = counts.count()
@@ -10713,21 +10195,13 @@ def q_global_row_ids(sf_dir: str):
                                                   dtype=np.int64)}))
         return pd.concat(out, ignore_index=True)
 
-    def keyed(df):
-        df = df.copy()
-        df["rb"] = df["doc_id"].to_numpy(np.int64) // span
-        # cell-hash bucket via crc32 (process-stable — python hash()
-        # is seed-randomized per worker): one cell never splits, so
-        # in-cell ranks are globally exact
-        lh = df["lang"].map(
-            lambda s: zlib.crc32(s.encode())).astype(np.int64)
-        df["bucket"] = ((df["rb"] * 131 + lh)
-                        % ROWID_RANGE_BUCKETS).astype("int32")
-        return df
+    def with_cell(df):
+        return df.assign(rb=df["doc_id"].to_numpy(np.int64) // span)
 
-    return (ds.map_batches(keyed, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(rank_cell, batch_format="pandas"))
+    # cell-hash buckets: one cell never splits, so in-cell ranks are
+    # globally exact
+    return dd.bucketed_close(ds, ["lang", "rb"], rank_cell, rows=n,
+                             partial=with_cell, batch_format="pandas")
 
 
 # --- T183: per-user behavioral entropy ---------------------------------
@@ -10747,13 +10221,11 @@ def q_user_entropy(sf_dir: str):
     import pandas as pd
 
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
-    nb = dd.derive_buckets(ds.count())
 
     def partial(df):
         g = df.groupby(["user_id", "event_type"],
                        as_index=False).size()
         g = g.rename(columns={"size": "n"})
-        g["bucket"] = (g["user_id"] % nb).astype("int32")
         return g.astype({"user_id": "int64", "n": "int64"})
 
     def reduce_bucket(g):
@@ -10775,9 +10247,8 @@ def q_user_entropy(sf_dir: str):
             "entropy_micro": (out["t"].to_numpy(np.int64)
                               // out["tot"].to_numpy(np.int64))})
 
-    return (ds.map_batches(partial, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(reduce_bucket, batch_format="pandas"))
+    return dd.bucketed_close(ds, "user_id", reduce_bucket, rows=ds.count(),
+                             partial=partial, batch_format="pandas")
 
 
 # --- T184: embedded data-URI image inventory ----------------------------
@@ -10961,17 +10432,15 @@ def q_domain_gini(sf_dir: str):
     files = expand_input_files(_corpus_dir())
     ds = ray.data.read_parquet(files, columns=["url"])
     dom_re = _re.compile(r"https://([^/]+)/")
-    nb = dd.width_floor()
 
     def partial(b: pa.Table) -> pa.Table:
         urls = b.column("url").to_pylist()
         doms = [m.group(1) if (m := dom_re.search(u)) else ""
                 for u in urls]
         s = pd.Series(doms).value_counts()
-        t = pa.Table.from_pydict({
+        return pa.Table.from_pydict({
             "domain": pa.array(s.index.to_list(), pa.string()),
             "n": pa.array(s.to_numpy(np.int64), pa.int64())})
-        return _crc_bucket_col(t, "domain", nb)
 
     def hist_reduce(g):
         per_dom = g.groupby("domain", as_index=False).agg(c=("n", "sum"))
@@ -10979,10 +10448,9 @@ def q_domain_gini(sf_dir: str):
         return pd.DataFrame({"c": h["c"].astype("int64"),
                              "m": h["size"].astype("int64")})
 
-    parts = (ds.map_batches(partial, batch_format="pyarrow")
-             .groupby("bucket")
-             .map_groups(hist_reduce, batch_format="pandas")
-             .to_pandas())
+    parts = dd.bucketed_close(ds, "domain", hist_reduce,
+                              floor=dd.width_floor(),
+                              partial=partial).to_pandas()
     hist = parts.groupby("c")["m"].sum().sort_index()
     rank, src, tot, n = 0, 0, 0, 0
     for v, m in hist.items():  # ascending count values, Python bigints
@@ -11049,14 +10517,6 @@ def q_padding_waste(sf_dir: str):
     offs = np.concatenate([[0], np.cumsum(h.to_numpy(np.int64))[:-1]])
     off_ref = ray.put((vals, offs))
 
-    nbv = dd.width_floor()
-    nb2 = dd.derive_buckets(int(h.sum()))
-
-    def by_value(b: pa.Table) -> pa.Table:
-        nt = b.column("n_tok").to_numpy()
-        return b.append_column(
-            "bucket", pa.array((nt % nbv).astype(np.int32)))
-
     def rank_group(g):
         va, of = sim.resolve_broadcast(off_ref, key="pad-offsets")
         out = []
@@ -11067,11 +10527,9 @@ def q_padding_waste(sf_dir: str):
             out.append(pd.DataFrame({
                 "batch_id": rk // PAD_BATCH,
                 "n_tok": np.full(len(ids), v, np.int64)}))
-        res = pd.concat(out) if out else pd.DataFrame(
+        return pd.concat(out) if out else pd.DataFrame(
             {"batch_id": pd.Series(dtype="int64"),
              "n_tok": pd.Series(dtype="int64")})
-        res["b2"] = (res["batch_id"] % nb2).astype("int32")
-        return res
 
     def batch_stats(g):
         s = g.groupby("batch_id", as_index=False).agg(
@@ -11087,11 +10545,10 @@ def q_padding_waste(sf_dir: str):
         return s.astype({"n_docs": "int64", "max_tok": "int64",
                          "sum_tok": "int64"})
 
-    return (toks.map_batches(by_value, batch_format="pyarrow")
-            .groupby("bucket")
-            .map_groups(rank_group, batch_format="pandas")
-            .groupby("b2")
-            .map_groups(batch_stats, batch_format="pandas"))
+    ranked = dd.bucketed_close(toks, "n_tok", rank_group,
+                               floor=dd.width_floor())
+    return dd.bucketed_close(ranked, "batch_id", batch_stats,
+                             rows=int(h.sum()), batch_format="pandas")
 
 
 # --- T188: cross-slice embedding decontamination ----------------------
@@ -11382,12 +10839,6 @@ def q_session_duration_stats(sf_dir: str):
     import pandas as pd
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
-    nb = dd.derive_buckets(ds.count())
-
-    def add_bucket(b: pa.Table) -> pa.Table:
-        uid = b.column("user_id").to_numpy()
-        return b.append_column(
-            "bucket", pa.array((uid % nb).astype(np.int32)))
 
     def dur_hist(g):
         g = g.sort_values(["user_id", "ts", "event_id"],
@@ -11404,10 +10855,8 @@ def q_session_duration_stats(sf_dir: str):
         return pd.DataFrame({"v": v.astype("int64"),
                              "m": m.astype("int64")})
 
-    parts = (ds.map_batches(add_bucket, batch_format="pyarrow")
-             .groupby("bucket")
-             .map_groups(dur_hist, batch_format="pandas")
-             .to_pandas())
+    parts = dd.bucketed_close(ds, "user_id", dur_hist,
+                              rows=ds.count()).to_pandas()
     hist = parts.groupby("v")["m"].sum().sort_index()
     vals = hist.index.to_numpy(np.int64)
     cnts = hist.to_numpy(np.int64)
@@ -11449,10 +10898,7 @@ def q_intra_domain_link_ratio(sf_dir: str):
     set maps to (src, total, self) partials and a domain-hash
     bucketed reduce folds them — exchange O(unique edges), the
     domain axis never lands on the driver."""
-    import pandas as pd
-
     edges = _link_edges(sf_dir)
-    nb = 32
 
     def partial(b: pa.Table) -> pa.Table:
         df = b.to_pandas()
@@ -11460,9 +10906,6 @@ def q_intra_domain_link_ratio(sf_dir: str):
             df["src_domain"] == df["dst_domain"], df["n_links"], 0)
         g = df.groupby("src_domain", as_index=False).agg(
             n_links=("n_links", "sum"), self_links=("self_links", "sum"))
-        g["bucket"] = pd.Series(
-            [zlib.crc32(s.encode()) % nb for s in g["src_domain"]],
-            dtype="int32")
         return pa.Table.from_pandas(g, preserve_index=False)
 
     def reduce_dom(g):
@@ -11473,9 +10916,8 @@ def q_intra_domain_link_ratio(sf_dir: str):
         return s.astype({"n_links": "int64", "self_links": "int64",
                          "self_ppm": "int64"})
 
-    return (edges.map_batches(partial, batch_format="pyarrow")
-            .groupby("bucket")
-            .map_groups(reduce_dom, batch_format="pandas"))
+    return dd.bucketed_close(edges, "src_domain", reduce_dom,
+                             partial=partial)
 
 
 # --- T195: hour-of-week traffic anomaly flags -------------------------
@@ -11664,7 +11106,6 @@ def q_user_overlap_kmv(sf_dir: str):
     from ..functions.textstats import _md5_u64
 
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
-    nb = dd.derive_buckets(ds.count())
 
     def partial(df):
         is_a = (df["event_type"] == "click").to_numpy()
@@ -11674,7 +11115,6 @@ def q_user_overlap_kmv(sf_dir: str):
                            "in_a": is_a[keep], "in_b": is_b[keep]})
              .groupby("user_id", as_index=False).agg(
                  in_a=("in_a", "any"), in_b=("in_b", "any")))
-        g["bucket"] = (g["user_id"] % nb).astype("int32")
         return g
 
     def reduce_bucket(g):
@@ -11701,9 +11141,8 @@ def q_user_overlap_kmv(sf_dir: str):
                 [[len(u)], np.zeros(int(cand.sum()), np.int64)]),
         })
 
-    rows = (ds.map_batches(partial, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(reduce_bucket, batch_format="pandas")
+    rows = (dd.bucketed_close(ds, "user_id", reduce_bucket, rows=ds.count(),
+                              partial=partial, batch_format="pandas")
             .to_pandas())
     cnt = rows[rows["kind"] == "cnt"]
     n_a, n_b = int(cnt["n_a"].sum()), int(cnt["n_b"].sum())
@@ -11755,7 +11194,6 @@ def q_multi_touch_attribution(sf_dir: str):
     import pandas as pd
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
-    nb = dd.derive_buckets(ds.count())
 
     def partial(df):
         us = df["ts"].astype("datetime64[us]").astype("int64")
@@ -11767,7 +11205,6 @@ def q_multi_touch_attribution(sf_dir: str):
                                  -1)[is_c | is_p],
             "user_id": uid[is_c | is_p],
             "ts_us": us[is_c | is_p]})
-        out["bucket"] = (out["user_id"] % nb).astype("int32")
         return out
 
     def reduce_bucket(g):
@@ -11792,9 +11229,8 @@ def q_multi_touch_attribution(sf_dir: str):
         out = pd.concat(res, ignore_index=True)
         return out
 
-    out = (ds.map_batches(partial, batch_format="pandas")
-           .groupby("bucket")
-           .map_groups(reduce_bucket, batch_format="pandas"))
+    out = dd.bucketed_close(ds, "user_id", reduce_bucket, rows=ds.count(),
+                            partial=partial, batch_format="pandas")
 
     def credit(df):
         n = df["n_touches"].to_numpy(np.int64)
@@ -11821,7 +11257,6 @@ def q_event_rle(sf_dir: str):
     import pandas as pd
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
-    nb = dd.derive_buckets(ds.count())
 
     def partial(df):
         us = df["ts"].astype("datetime64[us]").astype("int64")
@@ -11830,7 +11265,6 @@ def q_event_rle(sf_dir: str):
             "ts_us": us,
             "event_id": df["event_id"].to_numpy(np.int64),
             "event_type": df["event_type"]})
-        out["bucket"] = (out["user_id"] % nb).astype("int32")
         return out
 
     def reduce_bucket(g):
@@ -11856,9 +11290,8 @@ def q_event_rle(sf_dir: str):
             "event_type": et[starts],
             "run_len": lens.astype(np.int64)})
 
-    return (ds.map_batches(partial, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(reduce_bucket, batch_format="pandas"))
+    return dd.bucketed_close(ds, "user_id", reduce_bucket, rows=ds.count(),
+                             partial=partial, batch_format="pandas")
 
 
 FEATURE_HASH_D = 64  # hashed feature dimensions (hashing trick)
@@ -11929,7 +11362,6 @@ def q_events_time_window(sf_dir: str):
     import pandas as pd
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-    nb = dd.derive_buckets(ds.count())
 
     def partial(df):
         return pd.DataFrame({
@@ -11937,8 +11369,6 @@ def q_events_time_window(sf_dir: str):
             "user_id": df["user_id"].to_numpy(np.int64),
             "ts": df["ts"],
             "value_micro": _micro_int_col(df["value"]),
-            "bucket": (df["user_id"].to_numpy(np.int64) % nb)
-                .astype("int32"),
         })
 
     def reduce_bucket(g):
@@ -11971,11 +11401,8 @@ def q_events_time_window(sf_dir: str):
             "win_n": (hi - lo).astype(np.int64),
         })
 
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(reduce_bucket, batch_format="pandas")
-    )
+    return dd.bucketed_close(ds, "user_id", reduce_bucket, rows=ds.count(),
+                             partial=partial, batch_format="pandas")
 
 
 def q_vocab_growth(sf_dir: str):
@@ -12001,7 +11428,6 @@ def q_vocab_growth(sf_dir: str):
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     # footer-statistics max — no second scan (ADVICE r4)
     n_docs = _parquet_col_max(sf_dir, "documents", "doc_id") + 1
-    nb = 32
 
     def partial(b: pa.Table) -> pa.Table:
         first: dict[int, int] = {}
@@ -12017,9 +11443,7 @@ def q_vocab_growth(sf_dir: str):
         hs = np.fromiter(first.keys(), np.uint64, len(first))
         return pa.Table.from_pydict({
             "h": pa.array(hs.view(np.int64), pa.int64()),
-            "first_doc": pa.array(list(first.values()), pa.int64()),
-            "bucket": pa.array((hs % np.uint64(nb)).astype(np.int32),
-                               pa.int32())})
+            "first_doc": pa.array(list(first.values()), pa.int64())})
 
     def reduce_bucket(g):
         fo = g.groupby("h", as_index=False).agg(
@@ -12030,9 +11454,8 @@ def q_vocab_growth(sf_dir: str):
             new_terms=("decile", "size"))
 
     small = (
-        docs.map_batches(partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(reduce_bucket, batch_format="pandas")
+        dd.bucketed_close(docs, "h", reduce_bucket, rows=n_docs,
+                          partial=partial)
         .groupby("decile")
         .aggregate(Sum("new_terms", alias_name="new_terms"))
         .to_pandas()
@@ -12199,16 +11622,13 @@ def q_domain_kcore(sf_dir: str):
     idx = {dname: i for i, dname in enumerate(nodes)}
     c = (degs.set_index("domain").loc[nodes, "deg"]
          .to_numpy(np.int64))
-    nb = 32
     iref = ray.put(idx)
 
     def to_ids(df):
         ix = sim.resolve_broadcast(iref, key="kcore-idx")
         a = df["a"].map(ix).to_numpy(np.int64)
         b = df["b"].map(ix).to_numpy(np.int64)
-        out = pd.DataFrame({"node": np.r_[a, b], "nbr": np.r_[b, a]})
-        out["bucket"] = (out["node"] % nb).astype("int32")
-        return out
+        return pd.DataFrame({"node": np.r_[a, b], "nbr": np.r_[b, a]})
 
     def csr_pack(g):
         g = g.sort_values(["node", "nbr"], kind="mergesort")
@@ -12220,11 +11640,8 @@ def q_domain_kcore(sf_dir: str):
             "indptr": [indptr.tolist()],
             "nbrs": [g["nbr"].to_numpy(np.int64).tolist()]})
 
-    packed = (
-        und.map_batches(to_ids, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(csr_pack, batch_format="pandas")
-    ).materialize()
+    packed = dd.bucketed_close(und, "node", csr_pack, partial=to_ids,
+                               batch_format="pandas").materialize()
     refs = packed.to_arrow_refs()
 
     for _ in range(KCORE_MAX_ROUNDS):
@@ -12327,7 +11744,6 @@ def q_value_interp(sf_dir: str):
 
     ds = _read(sf_dir, "events",
                ["event_id", "user_id", "ts", "event_type", "value"])
-    nb = dd.derive_buckets(ds.count())
 
     def partial(df):
         return pd.DataFrame({
@@ -12336,8 +11752,6 @@ def q_value_interp(sf_dir: str):
             "ts": df["ts"],
             "is_p": df["event_type"].to_numpy() == "purchase",
             "value_micro": _micro_int_col(df["value"]),
-            "bucket": (df["user_id"].to_numpy(np.int64) % nb)
-                .astype("int32"),
         })
 
     def reduce_bucket(g):
@@ -12374,11 +11788,8 @@ def q_value_interp(sf_dir: str):
             "user_id": uid,
             "interp_micro": interp.astype(np.int64)})
 
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(reduce_bucket, batch_format="pandas")
-    )
+    return dd.bucketed_close(ds, "user_id", reduce_bucket, rows=ds.count(),
+                             partial=partial, batch_format="pandas")
 
 
 HARMONIC_MAX = 12  # BFS depth cap, pinned on both engine + oracle
@@ -12405,18 +11816,13 @@ def _harmonic_distributed(und):
     (HyperBall) are approximations and stay out of the exact op."""
     import pandas as pd
 
-    nb = 32
-
     def sym(df):
         out = pd.DataFrame({
             "node": pd.concat([df["a"], df["b"]], ignore_index=True),
             "nbr": pd.concat([df["b"], df["a"]], ignore_index=True)})
         out["src"] = ""
         out["kind"] = np.int32(1)
-        out["bucket"] = pd.Series(
-            [zlib.crc32(s.encode()) % nb for s in out["node"]],
-            index=out.index, dtype="int32")
-        return out[["src", "node", "nbr", "kind", "bucket"]]
+        return out[["src", "node", "nbr", "kind"]]
 
     adj = und.map_batches(sym, batch_format="pandas").materialize()
 
@@ -12434,10 +11840,7 @@ def _harmonic_distributed(und):
         return pd.DataFrame({
             "src": df["src"], "node": df["node"],
             "nbr": df["node"],  # unused on kind-0 rows
-            "kind": np.zeros(len(df), np.int32),
-            "bucket": pd.Series(
-                [zlib.crc32(s.encode()) % nb for s in df["node"]],
-                index=df.index, dtype="int32")})
+            "kind": np.zeros(len(df), np.int32)})
 
     def expand(g):
         f = g[g["kind"] == 0]
@@ -12450,31 +11853,20 @@ def _harmonic_distributed(und):
                .rename(columns={"nbr": "node"}))
         return out.reset_index(drop=True)
 
-    def pair_bucket(df):
-        df = df.copy()
-        df["bucket"] = pd.Series(
-            [zlib.crc32((s + "|" + n).encode()) % nb
-             for s, n in zip(df["src"], df["node"])],
-            index=df.index, dtype="int32")
-        return df
-
     for d in range(1, HARMONIC_MAX + 1):
-        cand = (
-            frontier.map_batches(tag_frontier, batch_format="pandas")
-            .union(adj)
-            .groupby("bucket")
-            .map_groups(expand, batch_format="pandas")
-        )
+        cand = dd.bucketed_close(frontier, "node", expand,
+                                 partial=tag_frontier, union=[(adj, None)],
+                                 batch_format="pandas")
 
         def tag_cand(df):
             out = df[["src", "node"]].copy()
             out["kind"] = np.int32(0)
-            return pair_bucket(out)
+            return out
 
         def tag_seen(df):
             out = df[["src", "node"]].copy()
             out["kind"] = np.int32(1)
-            return pair_bucket(out)
+            return out
 
         def newonly(g, _d=d):
             seen = set(zip(g.loc[g["kind"] == 1, "src"],
@@ -12488,12 +11880,9 @@ def _harmonic_distributed(und):
             c["depth"] = np.int64(_d)
             return c.reset_index(drop=True)
 
-        new = (
-            cand.map_batches(tag_cand, batch_format="pandas")
-            .union(reached.map_batches(tag_seen,
-                                       batch_format="pandas"))
-            .groupby("bucket")
-            .map_groups(newonly, batch_format="pandas")
+        new = dd.bucketed_close(
+            cand, ["src", "node"], newonly, partial=tag_cand,
+            union=[(reached, tag_seen)], batch_format="pandas",
         ).materialize()
         if new.count() == 0:
             break
@@ -12602,7 +11991,6 @@ def q_event_path_trigrams(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts",
                                   "event_type"])
-    nb = dd.derive_buckets(ds.count())
 
     def partial(df):
         return pd.DataFrame({
@@ -12610,8 +11998,6 @@ def q_event_path_trigrams(sf_dir: str):
             "user_id": df["user_id"].to_numpy(np.int64),
             "ts": df["ts"],
             "event_type": df["event_type"],
-            "bucket": (df["user_id"].to_numpy(np.int64) % nb)
-                .astype("int32"),
         })
 
     def reduce_bucket(g):
@@ -12632,9 +12018,8 @@ def q_event_path_trigrams(sf_dir: str):
             n=("e1", "size"))
 
     small = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(reduce_bucket, batch_format="pandas")
+        dd.bucketed_close(ds, "user_id", reduce_bucket, rows=ds.count(),
+                          partial=partial, batch_format="pandas")
         .groupby(["e1", "e2", "e3"])
         .aggregate(Sum("n", alias_name="n"))
         .to_pandas()
@@ -12716,7 +12101,6 @@ def q_ngram_novelty(sf_dir: str):
     from ..functions.textstats import _md5_u64, tokens
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    nb = 64
 
     def partial(b: pa.Table) -> pa.Table:
         hs: list[int] = []
@@ -12733,9 +12117,7 @@ def q_ngram_novelty(sf_dir: str):
         ha = np.array(hs, np.uint64)
         return pa.Table.from_pydict({
             "h": pa.array(ha.view(np.int64), pa.int64()),
-            "doc_id": pa.array(dids, pa.int64()),
-            "bucket": pa.array((ha % np.uint64(nb)).astype(np.int32),
-                               pa.int32())})
+            "doc_id": pa.array(dids, pa.int64())})
 
     def reduce_bucket(g):
         df = g.groupby("h")["h"].transform("size")
@@ -12743,11 +12125,7 @@ def q_ngram_novelty(sf_dir: str):
             "doc_id": g["doc_id"].to_numpy(np.int64),
             "n_grams": np.ones(len(g), np.int64),
             "n_unique": (df.to_numpy(np.int64) == 1).astype(np.int64)})
-        s = out.groupby("doc_id", as_index=False).sum()
-        # re-key the per-doc partials by doc hash for the close (a
-        # doc lives in exactly one close bucket)
-        s["b2"] = (s["doc_id"].to_numpy(np.int64) % 32).astype(np.int32)
-        return s
+        return out.groupby("doc_id", as_index=False).sum()
 
     def close(g):
         s = g.groupby("doc_id", as_index=False).agg(
@@ -12763,13 +12141,9 @@ def q_ngram_novelty(sf_dir: str):
     # groupby(doc_id).aggregate — Ray's sort-based aggregate measured
     # 13.3 s for the 5000-key close where the bucketed reduce runs in
     # ~1 s (the repo's standard many-key-rollup idiom)
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(reduce_bucket, batch_format="pandas")
-        .groupby("b2")
-        .map_groups(close, batch_format="pandas")
-    )
+    per_doc = dd.bucketed_close(ds, "h", reduce_bucket, floor=64,
+                                partial=partial)
+    return dd.bucketed_close(per_doc, "doc_id", close, batch_format="pandas")
 
 
 # --- T214: recency-decayed activity mass -----------------------------
@@ -12790,7 +12164,6 @@ def q_event_decay_mass(sf_dir: str):
     ds = _read(sf_dir, "events", ["user_id", "ts"])
     max_us = int(pd.Timestamp(
         _read(sf_dir, "events", ["ts"]).max("ts")).value // 1000)
-    nb = 32
 
     def partial(df):
         ts = df["ts"].to_numpy("datetime64[us]").astype(np.int64)
@@ -12800,10 +12173,7 @@ def q_event_decay_mass(sf_dir: str):
             "user_id": df["user_id"].to_numpy(np.int64),
             "n_events": np.ones(len(df), np.int64),
             "decay_mass": w})
-        s = out.groupby("user_id", as_index=False).sum()
-        s["bucket"] = (s["user_id"].to_numpy(np.int64) % nb) \
-            .astype(np.int32)
-        return s
+        return out.groupby("user_id", as_index=False).sum()
 
     def close(g):
         s = g.groupby("user_id", as_index=False).agg(
@@ -12812,11 +12182,8 @@ def q_event_decay_mass(sf_dir: str):
         return s.astype({"user_id": "int64", "n_events": "int64",
                          "decay_mass": "int64"})
 
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(close, batch_format="pandas")
-    )
+    return dd.bucketed_close(ds, "user_id", close, partial=partial,
+                             batch_format="pandas")
 
 
 # ---------------------------------------------------------------- registry

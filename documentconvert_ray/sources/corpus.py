@@ -23,6 +23,8 @@ import zlib
 
 import pyarrow as pa
 
+from ..functions.aes import cbc_encrypt_nopad, encrypt_block, expand_key
+
 SEED = 42
 
 _WORDS = (
@@ -857,97 +859,20 @@ def _pdf_enc_object_key(key: bytes, num: int, gen: int) -> bytes:
     return d[: min(len(key) + 5, 16)]
 
 
-# Forward AES-128 cipher (FIPS-197 §5.1) — the encrypt-side twin of
-# functions/aes.py's INVERSE cipher; only the S-box table (spec data)
-# is shared knowledge. CBC + PKCS#7 + prepended IV per the PDF /AESV2
-# stream layout.
-_AES_SBOX_HEX = (
-    "637c777bf26b6fc53001672bfed7ab76ca82c97dfa5947f0add4a2af9ca472c0"
-    "b7fd9326363ff7cc34a5e5f171d8311504c723c31896059a071280e2eb27b275"
-    "09832c1a1b6e5aa0523bd6b329e32f8453d100ed20fcb15b6acbbe394a4c58cf"
-    "d0efaafb434d338545f9027f503c9fa851a3408f929d38f5bcb6da2110fff3d2"
-    "cd0c13ec5f974417c4a77e3d645d197360814fdc222a908846eeb814de5e0bdb"
-    "e0323a0a4906245cc2d3ac629195e479e7c8376d8dd54ea96c56f4ea657aae08"
-    "ba78252e1ca6b4c6e8dd741f4bbd8b8a703eb5664803f60e613557b986c11d9e"
-    "e1f8981169d98e949b1e87e9ce5528df8ca1890dbfe6426841992d0fb054bb16"
-)
-_AES_SBOX = bytes.fromhex(_AES_SBOX_HEX)
-
-
-def _aes_xt(a: int) -> int:
-    a <<= 1
-    return (a ^ 0x11B if a & 0x100 else a) & 0xFF
-
-
-def _aes_expand(key: bytes) -> list[bytes]:
-    # Nk-general (FIPS-197 §5.2): AES-128 and AES-256 (the /AESV3
-    # writer needs 32-byte keys; Nk=8 adds the extra SubWord step)
-    nk = len(key) // 4
-    nr = nk + 6
-    rcon = 1
-    w = [key[4 * i: 4 * i + 4] for i in range(nk)]
-    for i in range(nk, 4 * (nr + 1)):
-        t = w[i - 1]
-        if i % nk == 0:
-            t = bytes(_AES_SBOX[b] for b in t[1:] + t[:1])
-            t = bytes((t[0] ^ rcon,)) + t[1:]
-            rcon = _aes_xt(rcon)
-        elif nk > 6 and i % nk == 4:
-            t = bytes(_AES_SBOX[b] for b in t)
-        w.append(bytes(a ^ b for a, b in zip(w[i - nk], t)))
-    return [b"".join(w[4 * r: 4 * r + 4]) for r in range(nr + 1)]
-
-
-def _aes_enc_block(rks: list[bytes], block: bytes) -> bytes:
-    s = bytearray(a ^ b for a, b in zip(block, rks[0]))
-    for rnd in range(1, len(rks) - 1):
-        s = bytearray(_AES_SBOX[b] for b in s)  # SubBytes
-        t = bytearray(16)  # ShiftRows: row r rotates LEFT by r
-        for col in range(4):
-            for row in range(4):
-                t[4 * col + row] = s[4 * ((col + row) % 4) + row]
-        s = bytearray(16)  # MixColumns (2 3 1 1)
-        for col in range(4):
-            c = t[4 * col: 4 * col + 4]
-            s[4 * col + 0] = _aes_xt(c[0]) ^ _aes_xt(c[1]) ^ c[1] ^ c[2] ^ c[3]
-            s[4 * col + 1] = c[0] ^ _aes_xt(c[1]) ^ _aes_xt(c[2]) ^ c[2] ^ c[3]
-            s[4 * col + 2] = c[0] ^ c[1] ^ _aes_xt(c[2]) ^ _aes_xt(c[3]) ^ c[3]
-            s[4 * col + 3] = _aes_xt(c[0]) ^ c[0] ^ c[1] ^ c[2] ^ _aes_xt(c[3])
-        s = bytearray(a ^ b for a, b in zip(s, rks[rnd]))
-    s = bytearray(_AES_SBOX[b] for b in s)
-    t = bytearray(16)
-    for col in range(4):
-        for row in range(4):
-            t[4 * col + row] = s[4 * ((col + row) % 4) + row]
-    return bytes(a ^ b for a, b in zip(t, rks[-1]))
-
-
+# The generator encrypts with the engine's forward cipher
+# (functions/aes.py); FIPS-197 known-answer tests pin it, so a shared
+# bug cannot round-trip silently. CBC + PKCS#7 + prepended IV per the
+# PDF /AESV2 and /AESV3 stream layout.
 def _aes_cbc_encrypt_pdf(key: bytes, data: bytes, iv: bytes) -> bytes:
     """PDF /AESV2 stream layout: IV ‖ CBC(PKCS#7-padded data)."""
-    rks = _aes_expand(key)
     pad = 16 - len(data) % 16
-    data = data + bytes([pad]) * pad
-    out = bytearray(iv)
-    prev = iv
-    for off in range(0, len(data), 16):
-        ct = _aes_enc_block(
-            rks, bytes(a ^ b for a, b in zip(data[off: off + 16], prev)))
-        out += ct
-        prev = ct
-    return bytes(out)
+    return iv + cbc_encrypt_nopad(key, iv, data + bytes([pad]) * pad)
 
 
-def _aes_cbc_enc_nopad(key: bytes, iv: bytes, data: bytes) -> bytes:
-    """Raw CBC, no padding (Algorithm 2.B inner step / key wrap)."""
-    rks = _aes_expand(key)
-    out = bytearray()
-    prev = iv
-    for off in range(0, len(data), 16):
-        ct = _aes_enc_block(
-            rks, bytes(a ^ b for a, b in zip(data[off:off + 16], prev)))
-        out += ct
-        prev = ct
-    return bytes(out)
+# Raw CBC, no padding (Algorithm 2.B inner step / key wrap). A module
+# attribute looked up at call time, so a faster cipher can be swapped
+# in while generating.
+_aes_cbc_enc_nopad = cbc_encrypt_nopad
 
 
 def _pdf_hash2b(pwd: bytes, salt: bytes, udata: bytes = b"") -> bytes:
@@ -997,7 +922,7 @@ def _pdf_r6_entries(doc_id: int, perms: int):
     pblock = ((perms & 0xFFFFFFFF).to_bytes(4, "little")
               + b"\xff\xff\xff\xff" + b"Tadb"
               + hashlib.md5(f"r6pr-{doc_id}".encode()).digest()[:4])
-    perms16 = _aes_enc_block(_aes_expand(fkey), pblock)
+    perms16 = encrypt_block(expand_key(fkey), pblock)
     return fkey, u48, ue32, o48, oe32, perms16
 
 

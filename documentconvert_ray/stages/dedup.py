@@ -20,6 +20,9 @@ first-class capability.
 
 from __future__ import annotations
 
+import zlib
+
+import numpy as np
 import pyarrow as pa
 
 from ..functions.textstats import (
@@ -45,14 +48,82 @@ def derive_buckets(n_rows: int, rows_per_doc: int = 1,
     """Bucket count for a bucketed-combine shuffle: enough groups that
     one group holds ≈``target`` rows ((n_rows · rows_per_doc) / target,
     min ``floor``). Per-bucket memory stays flat as the corpus grows;
-    group count grows instead, which Ray's hash shuffle absorbs."""
+    group count grows instead, which Ray's hash shuffle absorbs.
+    ``bucketed_close`` is its caller for every key-co-locating close;
+    the LSH / shingle / pair-emission stages below take an explicit
+    count from their query, and the registry also sizes native-join
+    partition counts with it."""
     total = max(1, n_rows) * max(1, rows_per_doc)
     return max(floor, -(-total // max(1, target)))
 
 
+def bucket_ids(keys, nb: int) -> np.ndarray:
+    """``bucket`` values for one batch's key columns (each a list,
+    numpy array, pandas Series or Arrow column). One integer column
+    hashes as ``key % nb``; a string key, or several columns joined
+    with ``|``, as ``crc32(utf-8) % nb``. Process-stable, so every
+    row of a key lands in the same bucket whichever task computes it."""
+    if len(keys) == 1:
+        col = keys[0]
+        arr = col.to_numpy() if hasattr(col, "to_numpy") else np.asarray(col)
+        if arr.dtype.kind in "iu":
+            return (arr % nb).astype(np.int32)
+        strs = col.to_pylist() if isinstance(col, pa.ChunkedArray) else arr
+    else:
+        cols = [c.to_pylist() if isinstance(c, (pa.Array, pa.ChunkedArray))
+                else list(c) for c in keys]
+        strs = ["|".join(map(str, t)) for t in zip(*cols)]
+    return np.fromiter((zlib.crc32(str(s).encode()) % nb for s in strs),
+                       np.int32, len(strs))
+
+
+def bucketed_close(ds, key, close, *, rows: int = 0,
+                   rows_per_doc: int = 1, floor: int = 32, partial=None,
+                   union=(), batch_format: str = "pyarrow", **map_kw):
+    """The registry's bucketed exchange, in one place: map ``partial``
+    over ``ds`` (and each extra ``(dataset, partial)`` leg of
+    ``union``), append ``bucket`` = hash(``key``) % nb inside that same
+    map task and batch format (see ``bucket_ids``), then
+    ``groupby("bucket").map_groups(close)`` over pandas groups. Every
+    row of a key meets in one group, so a close that reduces per key
+    gives the same rows for any bucket count.
+
+    nb = ``derive_buckets(rows, rows_per_doc, floor=floor)``; ``rows``
+    is the caller's row estimate (never counted here: ``count()`` on a
+    mapped Dataset would run its upstream stages twice); without one
+    (domain-granular graphs) the count is the floor. ``key`` is a
+    column name or a list of them, read from the partial's output;
+    ``map_kw`` goes to every leg's ``map_batches``. All legs must yield
+    the same block type (all pandas or all Arrow): Ray's union does not
+    mix them."""
+    nb = derive_buckets(rows, rows_per_doc, floor=floor)
+    keys = [key] if isinstance(key, str) else list(key)
+
+    def leg(d, fn):
+        def keyed(batch):
+            if fn is not None:
+                batch = fn(batch)
+            if isinstance(batch, pa.Table):
+                b = bucket_ids([batch.column(k) for k in keys], nb)
+                return batch.append_column("bucket", pa.array(b))
+            # pandas: insert, not setitem (no SettingWithCopy warning)
+            batch.insert(len(batch.columns), "bucket",
+                         bucket_ids([batch[k] for k in keys], nb))
+            return batch
+
+        return d.map_batches(keyed, batch_format=batch_format, **map_kw)
+
+    out = leg(ds, partial)
+    for d, fn in union:
+        out = out.union(leg(d, fn))
+    return out.groupby("bucket").map_groups(close, batch_format="pandas")
+
+
 def width_floor(per_cpu: int = 4, default_cpus: int = 8) -> int:
     """Cluster-width bucket floor for PAIR-EMITTING bucketed reduces
-    (band→candidate-pair, pair-dedup): their per-group OUTPUT can fan
+    (band→candidate-pair, pair-dedup), and the ``floor`` of the
+    ``bucketed_close`` calls whose output is as large as their
+    exchange (postings, substring windows): their per-group OUTPUT can fan
     out far past the input-row estimate derive_buckets sees (a
     near-dup-family corpus emits ~10^3 pairs per input band row), so
     a size-derived count that undershoots leaves most of the cluster

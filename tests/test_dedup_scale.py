@@ -106,3 +106,57 @@ def test_simhash_hamming_filter_vectorized_matches_scalar():
             assert got[i] == h
         else:
             assert i not in got
+
+
+def test_bucket_ids_hash_contract():
+    """An int key buckets as key % nb, a string key as crc32(utf-8) %
+    nb, several columns as crc32 of their '|'-joined text — the same
+    value in any batch format."""
+    import zlib
+
+    import pandas as pd
+
+    ints = np.array([-7, 0, 5, 2**40 + 3], np.int64)
+    want = (ints % 13).astype(np.int32)
+    assert (dd.bucket_ids([ints], 13) == want).all()
+    assert (dd.bucket_ids([pd.Series(ints)], 13) == want).all()
+    assert (dd.bucket_ids([pa.chunked_array([ints])], 13) == want).all()
+    words = ["héllo", "", "word"]
+    want = [zlib.crc32(w.encode()) % 13 for w in words]
+    assert dd.bucket_ids([pa.chunked_array([words])], 13).tolist() == want
+    assert dd.bucket_ids([pd.Series(words)], 13).tolist() == want
+    want = [zlib.crc32(f"{w}|{i}".encode()) % 13
+            for w, i in zip(words, [1, 2, 3])]
+    got = dd.bucket_ids([pd.Series(words), pd.Series([1, 2, 3])], 13)
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("rows", [1, 10**8])
+@pytest.mark.parametrize("fmt", ["pyarrow", "pandas"])
+def test_bucketed_close_invariant_to_bucket_count(ray_session, rows, fmt):
+    """Every row of a key meets in one group, so a per-key close gives
+    the same rows at 32 buckets (rows=1) and at 500 (rows=10^8), with
+    a string key, a multi-column key and a unioned second leg."""
+    import ray.data
+
+    def leg(lo):
+        return ray.data.from_arrow(pa.Table.from_pydict({
+            "k": pa.array([f"k{i % 37}" for i in range(lo, lo + 400)]),
+            "j": pa.array([i % 3 for i in range(lo, lo + 400)],
+                          pa.int64()),
+            "v": pa.array(range(lo, lo + 400), pa.int64())})).repartition(4)
+
+    def close(g):
+        return (g.groupby(["k", "j"], as_index=False)
+                .agg(n=("v", "size"), s=("v", "sum")))
+
+    assert dd.derive_buckets(rows) in (32, 500)
+    for key in ("k", ["k", "j"]):
+        got = dd.bucketed_close(
+            leg(0), key, close, rows=rows, union=[(leg(400), None)],
+            batch_format=fmt).to_pandas()
+        got = got.sort_values(["k", "j"]).reset_index(drop=True)
+        assert len(got) == 37 * 3
+        assert got["n"].sum() == 800
+        assert got["s"].sum() == sum(range(800))
+        assert not got.duplicated(["k", "j"]).any()

@@ -49,16 +49,23 @@ def test_crypt_sides_agree():
 
 
 def test_aes_known_answer_and_round_trip():
-    """FIPS-197 C.1 pins BOTH directions (forward cipher in the corpus
-    twin, inverse cipher in functions/aes.py); CBC round-trips through
-    the two independent implementations at every padding length."""
+    """FIPS-197 C.1 (AES-128) and C.3 (AES-256) pin BOTH directions of
+    functions/aes.py. The corpus generator encrypts with the same
+    forward cipher, so these vectors are what keep a shared bug from
+    round-tripping silently; CBC then round-trips the generator's PDF
+    layout at every padding length."""
     from documentconvert_ray.functions import aes as A
 
-    key = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
     pt = bytes.fromhex("00112233445566778899aabbccddeeff")
-    ct = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
-    assert C._aes_enc_block(C._aes_expand(key), pt) == ct
-    assert A.decrypt_block(A.expand_key(key), ct) == pt
+    for key, ct in (
+        (bytes(range(16)), "69c4e0d86a7b0430d8cdb78070b4c55a"),
+        (bytes(range(32)), "8ea2b7ca516745bfeafc49904b496089"),
+    ):
+        ct = bytes.fromhex(ct)
+        assert A.encrypt_block(A.expand_key(key), pt) == ct
+        assert A.cbc_encrypt_nopad(key, bytes(16), pt) == ct
+        assert A.decrypt_block(A.expand_key(key), ct) == pt
+    key = bytes(range(16))
     iv = bytes(range(16))
     for n in (0, 1, 15, 16, 17, 100):
         data = bytes((7 * i + 3) & 0xFF for i in range(n))

@@ -6,144 +6,14 @@ import sys
 
 import pytest
 
+from documentconvert_ray.pipelines.queries import oracle_sql
+
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tools"))
 
 SF_DIR = "/root/testdata/sf0.001"
 
 TABLES = ("region nation customer supplier part orders lineitem events "
           "documents embeddings").split()
-
-SQL_QUERIES = [
-    "gopher_rules",
-    "nfc_audit",
-    "padding_waste",
-    "domain_gini",
-    "url_host_rules",
-    "embedding_contamination",
-    "fuzzy_contamination",
-    "sentence_lang_mismatch",
-    "session_duration_stats",
-    "intra_domain_link_ratio",
-    "hourly_anomaly",
-    "new_users_daily",
-    "heavy_hitters_cms",
-    "lang_confusion",
-    "zipf_slope",
-    "char_diversity",
-    "bpe_pair_merge",
-    "local_supplier_volume",
-    "link_domains",
-    "domain_degrees",
-    "reciprocal_links",
-    "dataset_split",
-    "domain_triangles",
-    "domain_clustering",
-    "domain_components",
-    "domain_hops",
-    "sorted_neighborhood_dups",
-    "mad_outliers",
-    "peak_concurrency",
-    "anchor_texts",
-    "charset_audit",
-    "containment_dups",
-    "prefix_jaccard_dups",
-    "inverted_index",
-    "purchase_ffill",
-    "asof_last_order",
-    "lineitem_unpivot",
-    "extract_pipeline",
-    "extract_error_stats",
-    "domain_stats",
-    "doc_stats_by_lang",
-    "token_counts",
-    "quality_scores",
-    "term_scrub",
-    "repetition_stats",
-    "benchmark_contamination",
-    "sequence_pack",
-    "exact_dedup",
-    "ngram_top20",
-    "ngram_top20_mg",
-    "events_hourly",
-    "events_sliding",
-    "value_quantiles",
-    "user_sessions",
-    "pricing_summary",
-    "top_customers",
-    "order_revenue_join",
-    "distinct_users",
-    "ngram_jaccard_dups",
-    "embedding_near_dups",
-    "latest_orders",
-    "filter_regex",
-    "lang_id",
-    "hash_sample",
-    "stratified_sample",
-    "tfidf_top_terms",
-    "dup_gram_mass",
-    "sample_exact_k",
-    "user_running_total",
-    "retained_users",
-    "percentile_rank",
-    "user_customer_outer",
-    "user_first_last",
-    "event_transitions",
-    "length_outliers",
-    "big_orders",
-    "inactive_customers",
-    "per_lang_top5",
-    "corpus_curation",
-    "minhash_dup_pairs",
-    "near_dup_clusters",
-    "purchase_attribution",
-    "event_value_bands",
-    "embeddings_by_label",
-    "source_cap",
-    "lang_source_rollup",
-    "props_json_stats",
-    "user_event_types",
-    "funnel_users",
-    "label_centroids",
-    "weighted_sample",
-    "events_by_dow",
-    "click_no_purchase_days",
-    "click_and_purchase_days",
-    "vector_stats",
-    "doc_fingerprints",
-    "bloom_semi_join",
-    "event_density",
-    "nation_order_avg",
-    "sentence_split",
-    "moving_sum",
-    "revenue_share",
-    "top_event_type",
-    "events_daily_pivot",
-    "nation_parties",
-    "knn_cosine",
-    "multimodal_decode",
-    "multimodal_resize",
-    "multimodal_features",
-    "frame_sample",
-    "bigram_lm_nll",
-    "cluster_reps",
-    "nation_year_profit",
-    "ship_delay_modes",
-    "excess_suppliers",
-    "uniform_sample_k",
-    "quality_calibration",
-    "weighted_sample_k",
-    "funnel_conversion",
-    "column_profile",
-    "embedding_covariance",
-    "fk_integrity",
-    "token_drift_kl",
-    "winsorized_value_mean",
-    "regex_token_counts",
-    "value_mad",
-    "global_row_ids",
-    "user_entropy",
-    "embedded_image_stats",
-]
 
 
 @pytest.fixture(scope="module")
@@ -160,12 +30,12 @@ def duck():
 
 @pytest.fixture(scope="module")
 def registry(ray_session):
-    from documentconvert_ray.pipelines.queries import oracle_sql, queries
+    from documentconvert_ray.pipelines.queries import queries
 
     return queries(), oracle_sql()
 
 
-@pytest.mark.parametrize("name", SQL_QUERIES)
+@pytest.mark.parametrize("name", sorted(oracle_sql()))
 def test_query_matches_oracle(name, duck, registry, ray_session):
     from check_oracles import canon, to_pandas
 

@@ -61,8 +61,8 @@ def test_projection_excludes_payload():
     from documentconvert_ray.pipelines.extract import _url_projection
 
     t = pa_.Table.from_pylist(_corpus_with_dups(), schema=CORPUS_SCHEMA)
-    out = _url_projection(t, 16)
-    assert set(out.column_names) == {"bucket", "url", "ts_us", "crc", "sha"}
+    out = _url_projection(t)  # the shuffle adds only the bucket column
+    assert set(out.column_names) == {"url", "ts_us", "crc", "sha"}
 
 
 def test_exact_identical_rows_keep_one(ray_session):
