@@ -205,10 +205,8 @@ QUERY_NAMES = [
     "ocr_text",
     "ngram_novelty",
     "event_decay_mass",
-    # iterative broadcast-vector fixpoints (pagerank_domains,
-    # hits_domains) are excluded like kmeans' heavier cousins: their
-    # battery time is per-round Ray overhead on a domain-granular
-    # graph, not a data-scale signal
+    "pagerank_domains",
+    "hits_domains",
 ]
 
 

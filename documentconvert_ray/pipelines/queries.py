@@ -26,6 +26,13 @@ map, and it alone picks the bucket count and the key hash. Sites that
 keep their own bucket column get it from a stage helper (LSH bands,
 shingle postings, IVF assignment, pair emission, sketches) or bucket
 by a time/rank range rather than a key hash.
+
+The registry's iterative fixpoints (PageRank, HITS, k-core, BFS hops,
+k-center, k-means) run on ``stages.similarity.pinned_wave``: the input
+is materialized once (graphs encoded to int ids once by
+``_encode_graph``), its block refs stay pinned, and each round is one
+task wave of a module-level per-block function plus a driver fold of
+the per-block results — no per-round Dataset plan or exchange.
 """
 
 from __future__ import annotations
@@ -544,8 +551,8 @@ def _prefix_jaccard(sf_dir: str, use_df_order: bool):
 
 # Above this many verified pairs the driver union-find stops being
 # "small" (the bounded-duplication-rate assumption) and clustering
-# switches to distributed min-label propagation. Env-overridable so
-# tests can force the distributed path on tiny data.
+# switches to distributed min-label propagation (tests patch the
+# constant to force the distributed path on tiny data).
 CC_DRIVER_MAX_PAIRS = 2_000_000
 
 
@@ -567,9 +574,7 @@ def q_near_dup_clusters(sf_dir: str):
     pairs = q_minhash_dup_pairs(sf_dir)
     if not isinstance(pairs, pa.Table):  # Dataset (non-empty corpus)
         pairs = pairs.materialize()  # small; consumed twice below
-        limit = int(os.environ.get("CC_DRIVER_MAX_PAIRS",
-                                   CC_DRIVER_MAX_PAIRS))
-        if pairs.count() > limit:
+        if pairs.count() > CC_DRIVER_MAX_PAIRS:
             return _cc_distributed(pairs)
     pdf = pairs.to_pandas() if hasattr(pairs, "to_pandas") else pairs
     parent: dict[int, int] = {}
@@ -894,8 +899,6 @@ def q_tfidf_top_terms(sf_dir: str):
       3. (doc_id, term, tf) rows join the (term, rarity) build side on
          a native hash join; per-doc top-3 runs as a per-batch partial
          top-k combiner before the final per-doc reduce."""
-    import pandas as pd
-
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     n_docs = docs.count()
 
@@ -936,8 +939,6 @@ def q_tfidf_top_terms(sf_dir: str):
         rar_ref = ray.put(dict(zip(rar_tbl["term_r"], rar_tbl["rarity"])))
 
         def score_map_side(b: pa.Table):
-            import pandas as pd
-
             rar = sim.resolve_broadcast(rar_ref, key="tfidf-rarity")
             t = tx.tf_rows_batch(b)
             df = t.to_pandas()
@@ -1045,8 +1046,6 @@ def q_source_cap(sf_dir: str):
     (combiner) → tiny per-source final reduce: the shuffle carries
     ≤ K·n_blocks rows per source, never the corpus — at 10^12 docs the
     exchange is bounded by K × sources × blocks regardless of skew."""
-    import pandas as pd  # noqa: F401 (pandas batch format)
-
     ds = _read(sf_dir, "documents", ["doc_id", "source"])
 
     def partial(df):
@@ -1082,8 +1081,6 @@ def q_weighted_sample(sf_dir: str):
     row alone, so membership is partitioning- and scale-independent
     (hash_sample's shape with a per-row weight instead of a flat
     rate)."""
-    import pandas as pd
-
     ds = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
 
     def keep(df):
@@ -1229,7 +1226,6 @@ def q_quality_scores(sf_dir: str):
 
     def flags(batch: pa.Table) -> pa.Table:
         nt = batch.column("n_tokens").to_numpy()
-        np_ = batch.column("n_punct").to_numpy()  # noqa: F841
         ns = batch.column("n_stop").to_numpy()
         # integer-ratio quality gate: ≥10 tokens and stopwords ≥2% of tokens
         good = (nt >= 10) & (ns * 50 >= nt)
@@ -1349,8 +1345,6 @@ def q_events_hourly(sf_dir: str):
     ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
 
     def add_window(batch) -> "pa.Table":
-        import pandas as pd
-
         df = batch
         df["hour"] = df["ts"].dt.floor("h")
         df["value_micro"] = _micro_int_col(df["value"])
@@ -2280,8 +2274,6 @@ def q_sample_exact_k(sf_dir: str):
     and partitioning, unlike rate-based q_hash_sample. Per-batch
     partial top-k keeps ≤ k rows per block; the final sort orders
     ≤ k·n_blocks rows, never the corpus."""
-    import pandas as pd
-
     ds = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
 
     def partial(df):
@@ -2629,8 +2621,6 @@ def q_user_event_types(sf_dir: str):
     group, where a single vectorized pandas pass dedups, sorts and
     joins. Sorted join order makes the result partitioning-independent
     (mirrors the oracle's string_agg(... ORDER BY))."""
-    import pandas as pd
-
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
 
     def partial(df):
@@ -2884,7 +2874,6 @@ def q_bloom_semi_join(sf_dir: str):
     removed by the exact native hash join against the distinct urgent
     keys that follows, so the result is EXACT — the bitmap only
     shrinks the exchange. Revenue in integer micro-units."""
-    import pandas as pd
     import pyarrow.compute as pc
 
     # ONE orders scan: the per-batch-unique urgent keys are
@@ -3630,8 +3619,8 @@ def q_ocr_text(sf_dir: str):
     — the end-to-end-real form of the reference's image→markdown leg
     (services/document_service.py:826-907; VERDICT r4 task 3): planted
     strings render to real grayscale PNGs (full filter/inflate wire
-    format), an ACTOR-POOL OcrStage decodes pixels and nearest-
-    template-matches every 8×8 glyph cell, and the recovered text
+    format), an OcrStage instance in the task pool decodes pixels and
+    nearest-template-matches every 8×8 glyph cell, and the recovered text
     must equal the planted ground truth BYTE-EXACTLY — on the clean
     slice and on the noisy slice (≤4 flipped pixels/cell, under the
     font table's Hamming-distance budget). The oracle recomputes the
@@ -5808,8 +5797,6 @@ def q_new_users_daily(sf_dir: str):
     O(days) and the running sum is a driver-side cumsum over that
     tiny frame (a distributed window would ship every row to one
     partition anyway — days are the bounded axis here)."""
-    import pandas as pd
-
     ds = _read(sf_dir, "events", ["user_id", "ts"])
 
     def partial(df):
@@ -6119,6 +6106,68 @@ def q_reciprocal_links(sf_dir: str):
                              partial=norm)
 
 
+def _encode_graph(edges, a: str, b: str, w: str | None = None):
+    """Encode an edge Dataset ONCE for the pinned-block fixpoints.
+
+    Returns ``(nodes, refs)``: ``nodes`` is the sorted distinct
+    endpoint list of columns ``a`` and ``b``, built distributed (per-
+    batch distinct endpoints → per-node aggregate) so only O(nodes)
+    rows reach the driver, never the edge list; ``refs`` are the
+    pinned Arrow blocks of int64 ``src``/``dst`` ids into ``nodes``
+    (plus float64 ``w`` from column ``w``). The index broadcasts once
+    and one vectorized ``pc.index_in`` pass encodes both endpoints, so
+    no round ever touches a string. Domain-granular graphs have
+    |nodes| ≪ |edges|, which is what makes a driver-held vector per
+    round right; at url granularity the vector becomes a Dataset and
+    each round a hash join on the endpoint (the documented scale
+    path)."""
+    import pyarrow.compute as pc
+
+    def endpoints(t: pa.Table) -> pa.Table:
+        both = pa.concat_arrays([t.column(a).combine_chunks(),
+                                 t.column(b).combine_chunks()])
+        return pa.table({"node": pc.unique(both)})
+
+    edges = edges.materialize()  # read by the index and the encode
+    nodes = sorted(edges.map_batches(endpoints, batch_format="pyarrow")
+                   .groupby("node").count().to_pandas()["node"])
+    nref = ray.put(pa.array(nodes, pa.string()))
+
+    def encode(t: pa.Table) -> pa.Table:
+        ix = sim.resolve_broadcast(nref, key="graph-nodes")
+        cols = {out: pc.index_in(t.column(c), value_set=ix)
+                .cast(pa.int64()) for out, c in (("src", a), ("dst", b))}
+        if w is not None:
+            cols["w"] = t.column(w).cast(pa.float64())
+        return pa.table(cols)
+
+    enc = edges.map_batches(encode, batch_format="pyarrow").materialize()
+    return nodes, enc.to_arrow_refs()
+
+
+def _scatter_block(t: pa.Table, x: np.ndarray, n: int,
+                   transpose: bool = False) -> np.ndarray:
+    """One block's share of y = Aᵀx over encoded edges: y[dst] +=
+    x[src]·w (y[src] += x[dst]·w when ``transpose``), w = 1 when the
+    block carries no weight."""
+    src = t.column("src").to_numpy()
+    dst = t.column("dst").to_numpy()
+    if transpose:
+        src, dst = dst, src
+    v = x[src]
+    if "w" in t.column_names:
+        v = v * t.column("w").to_numpy()
+    return np.bincount(dst, weights=v, minlength=n)
+
+
+def _matvec(refs, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """y = Aᵀx (Ax when ``transpose``) as one pinned-block wave plus
+    a driver sum of the per-block partials."""
+    n = len(x)
+    return sum(sim.pinned_wave(refs, _scatter_block, x, n, transpose),
+               np.zeros(n))
+
+
 PAGERANK_ITERS = 20
 PAGERANK_DAMPING = 0.85
 
@@ -6127,51 +6176,24 @@ def q_pagerank_domains(sf_dir: str):
     """PageRank (Page, Brin, Motwani & Winograd 1999, "The PageRank
     citation ranking") over the domain link graph — the ITERATIVE
     distributed op (power iteration, damping 0.85, dangling mass
-    redistributed uniformly). Each iteration: the rank vector ships once via
-    ray.put, edge batches emit (dst, contribution) partials map-side,
-    a per-dst sum closes the step — exchange O(edges) per iteration,
-    no edge rematerialization (the edge Dataset is materialized once).
-    Domain-granular graphs have |nodes| ≪ |edges|, which is what makes
-    the broadcast-vector form right; at url granularity the rank
-    vector becomes a Dataset and each step is a hash join on dst (the
-    documented scale path). No SQL oracle (iterative float fixpoint);
-    bounded by the pytest vs-numpy tolerance + invariants test."""
+    redistributed uniformly). The edge set is encoded to int ids once
+    (``_encode_graph``); each iteration is one pinned-block scatter
+    wave (``_matvec``: per-block ``np.bincount`` of rank/out-weight
+    contributions by dst) plus a driver sum — exchange O(nodes) per
+    block per iteration, the edges never move again. No SQL oracle
+    (iterative float fixpoint); bounded by the pytest vs-numpy
+    tolerance + invariants test."""
     import pandas as pd
 
-    edges = _link_edges(sf_dir).materialize()
-    epd = edges.to_pandas()  # node axis: domains (small at any sf)
-    nodes = sorted(set(epd["src_domain"]) | set(epd["dst_domain"]))
-    idx = {d: i for i, d in enumerate(nodes)}
+    nodes, refs = _encode_graph(_link_edges(sf_dir), "src_domain",
+                                "dst_domain", "n_links")
     n = len(nodes)
-    out_links = np.zeros(n, np.float64)
-    for s, w in zip(epd["src_domain"], epd["n_links"]):
-        out_links[idx[s]] += w
+    out_links = _matvec(refs, np.ones(n), transpose=True)
     ranks = np.full(n, 1.0 / n)
-
-    def contrib_factory(rref):
-        def contrib(b: pa.Table) -> pa.Table:
-            r, ix, ol = sim.resolve_broadcast(rref, key="pr-ranks")
-            src = [ix[s] for s in b.column("src_domain").to_pylist()]
-            dst = [ix[d] for d in b.column("dst_domain").to_pylist()]
-            w = np.asarray(b.column("n_links"), np.float64)
-            c = r[src] * w / ol[src]
-            df = pd.DataFrame({"dst": np.asarray(dst, np.int64), "c": c})
-            g = df.groupby("dst", as_index=False).agg(c=("c", "sum"))
-            return pa.Table.from_pydict(
-                {"dst": pa.array(g["dst"].to_numpy(np.int64), pa.int64()),
-                 "c": pa.array(g["c"].to_numpy(np.float64), pa.float64())})
-        return contrib
-
     for _ in range(PAGERANK_ITERS):
-        rref = ray.put((ranks, idx, out_links))
-        got = (
-            edges.map_batches(contrib_factory(rref),
-                              batch_format="pyarrow")
-            .groupby("dst")
-            .aggregate(Sum("c", alias_name="c"))
-        ).to_pandas()
-        flow = np.zeros(n, np.float64)
-        flow[got["dst"].to_numpy(np.int64)] = got["c"].to_numpy(np.float64)
+        share = np.divide(ranks, out_links, out=np.zeros(n),
+                          where=out_links > 0)
+        flow = _matvec(refs, share)
         dangling = ranks[out_links == 0].sum()
         ranks = ((1.0 - PAGERANK_DAMPING) / n
                  + PAGERANK_DAMPING * (flow + dangling / n))
@@ -6228,28 +6250,6 @@ def _und_edges(sf_dir: str):
     return dd.bucketed_close(
         edges, ["a", "b"], lambda g: g[["a", "b"]].drop_duplicates(),
         partial=norm)
-
-
-def _endpoint_nodes(edges):
-    """Distinct endpoint domains of a directed (src_domain,
-    dst_domain) edge Dataset, computed distributed: per-batch distinct
-    union of both endpoint columns (combiner), then a per-domain
-    first. Only the O(nodes) result frame reaches the driver — the
-    edge list itself never does."""
-    import pandas as pd
-
-    def endpoints(b: pa.Table) -> pa.Table:
-        u = pd.concat([b.column("src_domain").to_pandas(),
-                       b.column("dst_domain").to_pandas()],
-                      ignore_index=True).drop_duplicates()
-        return pa.Table.from_pydict(
-            {"domain": pa.array(u.to_numpy(object), pa.string())})
-
-    return (
-        edges.map_batches(endpoints, batch_format="pyarrow")
-        .groupby("domain")
-        .map_groups(lambda g: g.head(1), batch_format="pandas")
-    ).to_pandas()
 
 
 def _degree_ds(und):
@@ -6630,45 +6630,44 @@ HOPS_SEED = "site-0.example"
 HOPS_MAX = 50
 
 
+def _frontier_nbrs(t: pa.Table, frontier: np.ndarray) -> np.ndarray:
+    """Ids adjacent to the frontier (bool vector over ids) in one
+    block of encoded undirected edges."""
+    a, b = t.column("src").to_numpy(), t.column("dst").to_numpy()
+    return np.unique(np.r_[b[frontier[a]], a[frontier[b]]])
+
+
 def q_domain_hops(sf_dir: str):
     """BFS HOP DISTANCE from a seed domain over the undirected link
-    graph — the crawl-frontier / influence-radius shape. Iterative
-    distributed op in the PageRank mold: the frontier set broadcasts
-    via ray.put, one map_batches over the materialized edge Dataset
-    emits the next frontier's candidates, the driver folds the
-    (≤ domains) result — O(edges) exchange per round, rounds = graph
-    eccentricity (2-3 on web-scale domain graphs). Unreached domains
-    are absent from the output (mirrors the SQL reachability CTE)."""
+    graph — the crawl-frontier / influence-radius shape. The graph is
+    encoded to int ids once (``_encode_graph``); the frontier is a
+    bool vector over ids and each round is one pinned-block wave
+    returning the frontier's neighbor ids, folded on the driver —
+    rounds = graph eccentricity (2-3 on web-scale domain graphs).
+    Unreached domains are absent from the output (mirrors the SQL
+    reachability CTE); a seed outside the graph reaches only
+    itself."""
     import pandas as pd
 
-    edges = _und_edges(sf_dir).materialize()
-    dist = {HOPS_SEED: 0}
-    frontier = {HOPS_SEED}
+    nodes, refs = _encode_graph(_und_edges(sf_dir), "a", "b")
+    if HOPS_SEED not in nodes:
+        return pd.DataFrame({"domain": [HOPS_SEED],
+                             "hops": pd.Series([0], dtype="int64")})
+    dist = np.full(len(nodes), -1, np.int64)
+    frontier = np.zeros(len(nodes), bool)
+    frontier[nodes.index(HOPS_SEED)] = True
+    dist[frontier] = 0
     for d in range(1, HOPS_MAX + 1):
-        fref = ray.put(frontier)
-
-        def nbrs(b: pa.Table, _fref=fref) -> pa.Table:
-            f = sim.resolve_broadcast(_fref, key=f"hops-frontier-{d}")
-            df = b.to_pandas()
-            out = pd.concat([
-                df.loc[df["a"].isin(f), "b"],
-                df.loc[df["b"].isin(f), "a"]], ignore_index=True)
-            out = out.drop_duplicates()
-            return pa.Table.from_pydict(
-                {"domain": pa.array(out.to_numpy(object), pa.string())})
-
-        got = {r["domain"] for r in
-               edges.map_batches(nbrs, batch_format="pyarrow").take_all()}
-        new = {x for x in got if x not in dist}
-        if not new:
+        reach = np.zeros(len(nodes), bool)
+        for ids in sim.pinned_wave(refs, _frontier_nbrs, frontier):
+            reach[ids] = True
+        frontier = reach & (dist < 0)
+        if not frontier.any():
             break
-        for x in new:
-            dist[x] = d
-        frontier = new
-    rows = sorted(dist.items())
-    return pd.DataFrame({
-        "domain": [r[0] for r in rows],
-        "hops": pd.Series([r[1] for r in rows], dtype="int64")})
+        dist[frontier] = d
+    keep = dist >= 0
+    return pd.DataFrame({"domain": np.asarray(nodes, object)[keep],
+                         "hops": dist[keep]})
 
 
 SN_KEY_LEN = 24
@@ -6784,8 +6783,6 @@ def q_charset_audit(sf_dir: str):
     fallback decode legs BEFORE running them. Pure map-side numpy
     bincount per payload — no shuffle, payloads never leave the read
     task; the oracle recomputes every byte in the hex domain."""
-    import pandas as pd
-
     files = expand_input_files(_corpus_dir())
     ds = ray.data.read_parquet(files, columns=["url", "html"])
 
@@ -6833,8 +6830,6 @@ def q_anchor_texts(sf_dir: str):
     per-domain top-3 anchors with a fixed (n DESC, anchor ASC)
     tie-break. Exchange is O(distinct (domain, anchor) · batches) —
     the anchor vocabulary, never the corpus."""
-    import pandas as pd
-
     files = expand_input_files(_corpus_dir())
     ds = ray.data.read_parquet(files, columns=["html"])
 
@@ -7334,8 +7329,6 @@ def q_quality_lr(sf_dir: str):
     (broadcast-lookup scoring inside map_batches) is exactly the real
     thing. Docs with ≥ 1 token are scored (inner semantics both
     sides)."""
-    import pandas as pd
-
     from ..functions.textstats import _md5_u64, tokens as _tokens
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
@@ -7860,11 +7853,11 @@ def q_returned_items(sf_dir: str):
         ["revenue_micro", "o_custkey"], ascending=[False, True],
         kind="mergesort").head(20)
 
-    keys = np.sort(top["o_custkey"].to_numpy(np.int64))
+    keys = pa.array(np.sort(top["o_custkey"].to_numpy(np.int64)))
     names = _read(sf_dir, "customer",
                   ["c_custkey", "c_name"]).map_batches(
-        lambda b: b[b["c_custkey"].isin(keys)],
-        batch_format="pandas").to_pandas()
+        lambda b: b.filter(pc.is_in(b.column("c_custkey"), value_set=keys)),
+        batch_format="pyarrow").to_pandas()
     out = top.merge(names, left_on="o_custkey", right_on="c_custkey")
     return (out[["c_custkey", "c_name", "revenue_micro"]]
             .astype({"c_custkey": "int64", "revenue_micro": "int64"})
@@ -8090,6 +8083,18 @@ def _emb_micro_mat(col) -> "np.ndarray":
         _list_mat(col).astype(np.float64) * 1_000_000).astype(np.int64)
 
 
+def _kcenter_far(t: pa.Table, C: np.ndarray):
+    """One block's farthest point from the selected centers C:
+    (min-distance micro², vec_id, vector), ties to the smallest id."""
+    X = _list_mat(t.column("q")).astype(np.int64, copy=False)
+    ids = t.column("vec_id").to_numpy().astype(np.int64)
+    xx = np.einsum("ij,ij->i", X, X)
+    cc = np.einsum("ij,ij->i", C, C)
+    mind = (xx[:, None] - 2 * (X @ C.T) + cc[None, :]).min(axis=1)
+    i = int(np.lexsort((ids, -mind))[0])
+    return int(mind[i]), int(ids[i]), X[i]
+
+
 def q_kcenter_coreset(sf_dir: str):
     """GREEDY K-CENTER coreset selection (Gonzalez farthest-point
     sampling — the classic 2-approx data-selection / diversity-
@@ -8099,13 +8104,13 @@ def q_kcenter_coreset(sf_dir: str):
     seed = min vec_id, then k−1 rounds of argmax-of-min-distance
     (micro² ints, ties to the smallest vec_id).
 
-    Shape per round (same skeleton as kmeans_fit): broadcast the
-    selected (j, d) int64 center matrix → map_batches emits ONE
-    candidate row per block (the block's farthest point + its vector)
-    → driver folds n_blocks tiny rows. Vectors never shuffle; the
-    micro-quantized projection is materialized once up front (an
-    iterative op re-reads its input k−1 times — the kmeans_fit
-    precedent). At 100 TB you would FPS over a uniform sample and
+    Shape per round (same skeleton as kmeans_fit): one
+    ``sim.pinned_wave`` over the micro-quantized projection, which is
+    materialized once up front (an iterative op re-reads its input
+    k−1 times) — the selected (j, d) int64 center matrix ships once,
+    each block returns ONE candidate (its farthest point + vector)
+    and the driver folds n_blocks tiny candidates. Vectors never
+    shuffle. At 100 TB you would FPS over a uniform sample and
     assign the remainder map-side; the per-round shape is unchanged."""
     import pandas as pd
 
@@ -8118,50 +8123,16 @@ def q_kcenter_coreset(sf_dir: str):
             "vec_id": b.column("vec_id"),
             "q": pa.FixedSizeListArray.from_arrays(flat, q.shape[1])})
 
-    qds = ds.map_batches(quant, batch_format="pyarrow").materialize()
-
-    def _rows(tbl_ds):
-        out = []
-        for r in tbl_ds.take_all():
-            out.append((int(r["vec_id"]), np.asarray(r["q"], np.int64)))
-        return out
-
-    def seed_partial(b: pa.Table) -> pa.Table:
-        ids = b.column("vec_id").to_numpy()
-        i = int(np.argmin(ids))
-        return b.take(pa.array([i]))
-
-    cand = _rows(qds.map_batches(seed_partial, batch_format="pyarrow"))
-    sel_id, sel_vec = min(cand, key=lambda t: t[0])
-    sel = [(0, sel_id, 0)]  # (rnk, vec_id, dist_micro2)
-    cent = sel_vec[None, :]
-
+    refs = ds.map_batches(quant, batch_format="pyarrow") \
+        .materialize().to_arrow_refs()
+    ids, cent = sim.smallest_ids(refs, 1)
+    sel = [(0, int(ids[0]), 0)]  # (rnk, vec_id, dist_micro2)
     for j in range(1, KCENTER_K):
-        ref = ray.put(cent)
-
-        def far_partial(b: pa.Table, _ref=ref) -> pa.Table:
-            C = sim.resolve_broadcast(_ref, key=f"kcenter-{j}")
-            X = _list_mat(b.column("q")).astype(np.int64, copy=False)
-            ids = b.column("vec_id").to_numpy().astype(np.int64)
-            xx = np.einsum("ij,ij->i", X, X)
-            cc = np.einsum("ij,ij->i", C, C)
-            mind = (xx[:, None] - 2 * (X @ C.T) + cc[None, :]).min(axis=1)
-            i = int(np.lexsort((ids, -mind))[0])  # max dist, tie min id
-            return pa.Table.from_pydict({
-                "vec_id": pa.array([ids[i]], pa.int64()),
-                "dist": pa.array([int(mind[i])], pa.int64()),
-                "q": pa.FixedSizeListArray.from_arrays(
-                    pa.array(X[i], pa.int64()), X.shape[1])})
-
-        best_id, best_d, best_vec = None, -1, None
-        for r in qds.map_batches(
-                far_partial, batch_format="pyarrow").take_all():
-            d_, id_ = int(r["dist"]), int(r["vec_id"])
-            if d_ > best_d or (d_ == best_d and id_ < best_id):
-                best_id, best_d = id_, d_
-                best_vec = np.asarray(r["q"], np.int64)
-        sel.append((j, best_id, best_d))
-        cent = np.vstack([cent, best_vec[None, :]])
+        # max dist, tie min id
+        d_, id_, vec = min(sim.pinned_wave(refs, _kcenter_far, cent),
+                           key=lambda p: (-p[0], p[1]))
+        sel.append((j, id_, d_))
+        cent = np.vstack([cent, vec[None, :]])
 
     return pd.DataFrame(
         {"rnk": np.array([s[0] for s in sel], np.int64),
@@ -8626,8 +8597,6 @@ def q_domain_link_agg(sf_dir: str):
     and unique from _link_edges, so the aggregation input is
     dimension-sized (≤ domains²). Reference class: §2.5 grouped
     rollups with a presentation-shaped value."""
-    import pandas as pd
-
     edges = _link_edges(sf_dir)
 
     def reduce_bucket(g):
@@ -8866,7 +8835,6 @@ def q_hard_negatives(sf_dir: str):
     per-query reduce) plus a label-exclusion mask in the partial, so
     the corpus still streams once and only k·n_blocks candidate rows
     per query reach the exchange."""
-    import pandas as pd
     import pyarrow.parquet as pq
 
     t = pq.read_table(
@@ -8947,8 +8915,8 @@ def q_class_balance_plan(sf_dir: str):
 # bigram-model broadcast gate (the tfidf/pmi size-gate precedent):
 # ≤ this many distinct bigrams → the (bigram → nll) map broadcasts
 # once and scoring is map-side; above it, the model stays a Dataset
-# and the probe side hash-joins. Env-overridable so the pytest gate
-# can pin both paths equal on the same corpus.
+# and the probe side hash-joins (the pytest gate patches the constant
+# to pin both paths equal on the same corpus).
 LM_BCAST_MAX_BIGRAMS = 2_000_000
 
 
@@ -9001,10 +8969,7 @@ def q_bigram_lm_nll(sf_dir: str):
         ds, ["w1", "w2"], reduce_counts, rows=n_docs, rows_per_doc=32,
         partial=bigram_partials, batch_format="pandas",
     ).materialize()  # vocab-sized; reused as c1 source + model
-    gate = int(os.environ.get("LM_BCAST_MAX_BIGRAMS",
-                              LM_BCAST_MAX_BIGRAMS))
-
-    if counts.count() <= gate:
+    if counts.count() <= LM_BCAST_MAX_BIGRAMS:
         # SMALL-MODEL fast path: fold c1 and the per-bigram nll on the
         # driver (vocab-sized), broadcast one dict, score map-side.
         cpd = counts.to_pandas()
@@ -9828,7 +9793,6 @@ def q_fk_integrity(sf_dir: str):
                 np.zeros(len(orph), np.int64)))})
 
     def li_map(df):
-        ok = df["l_orderkey"].to_numpy(np.int64)
         g = df.groupby("l_orderkey", as_index=False).size()
         k = g["l_orderkey"].to_numpy(np.int64)
         fact = pd.DataFrame({
@@ -10277,8 +10241,6 @@ def q_embedded_image_stats(sf_dir: str):
     SAME malformed embeds; gzip-wrapped transport rows are skipped on
     both sides (the link_domains blob-scan precedent). Map-side regex
     over the payload bytes → tiny per-format fold; zero exchange."""
-    import pandas as pd
-
     files = expand_input_files(_corpus_dir())
     ds = ray.data.read_parquet(files, columns=["html"])
 
@@ -11473,64 +11435,25 @@ HITS_ITERS = 20
 def q_hits_domains(sf_dir: str):
     """HITS hubs & authorities (Kleinberg 1999, JACM, "Authoritative
     sources in a hyperlinked environment" — public algorithm) over the
-    weighted domain link graph. Same broadcast-vector power-iteration
-    shape as q_pagerank_domains: per half-step the current vector
-    ships ONCE via ray.put, edge batches emit weighted per-endpoint
-    partials map-side (per-batch combiner), a per-key Sum closes the
-    matvec — a = Aᵀh then h = Aa, each L2-normalized. Exchange is
-    O(edges) per half-step; the edge Dataset is materialized exactly
-    once and NEVER leaves the cluster — the node index is built
-    distributed (per-batch distinct endpoints → per-domain first) and
-    only the O(nodes) domain list reaches the driver, which is the
-    broadcast-vector contract's own bound (at url granularity the
-    vector becomes a Dataset and each half-step a hash join on the
-    endpoint — the documented scale path). No SQL oracle (iterative
-    float fixpoint, like PageRank/k-means); bounded by the pytest
-    vs-dense-numpy test."""
+    weighted domain link graph. Same encoded-graph power iteration as
+    q_pagerank_domains: per half-step one pinned-block scatter wave —
+    a = Aᵀh, then h = Aa (the transposed scatter), each
+    L2-normalized. The edge Dataset is encoded once and NEVER leaves
+    the cluster; only the O(nodes) domain list reaches the driver
+    (``_encode_graph``). No SQL oracle (iterative float fixpoint, like
+    PageRank/k-means); bounded by the pytest vs-dense-numpy test."""
     import pandas as pd
 
-    edges = _link_edges(sf_dir).materialize()
-    # distributed node index: O(edges) exchange of bare domain
-    # strings, O(nodes) driver result (r4 verdict: never materialize
-    # the edge list driver-side just to enumerate its endpoints)
-    nodes = sorted(_endpoint_nodes(edges)["domain"])
-    idx = {d: i for i, d in enumerate(nodes)}
+    nodes, refs = _encode_graph(_link_edges(sf_dir), "src_domain",
+                                "dst_domain", "n_links")
     n = len(nodes)
     hubs = np.full(n, 1.0 / np.sqrt(n))
     auth = np.full(n, 1.0 / np.sqrt(n))
-
-    def pass_factory(vref, in_col, out_col, tag):
-        def contrib(b: pa.Table) -> pa.Table:
-            v, ix = sim.resolve_broadcast(vref, key=tag)
-            src = [ix[s] for s in b.column(in_col).to_pylist()]
-            dst = [ix[d] for d in b.column(out_col).to_pylist()]
-            w = np.asarray(b.column("n_links"), np.float64)
-            df = pd.DataFrame({"k": np.asarray(dst, np.int64),
-                               "c": v[src] * w})
-            g = df.groupby("k", as_index=False).agg(c=("c", "sum"))
-            return pa.Table.from_pydict(
-                {"k": pa.array(g["k"].to_numpy(np.int64), pa.int64()),
-                 "c": pa.array(g["c"].to_numpy(np.float64),
-                               pa.float64())})
-        return contrib
-
-    def matvec(vec, in_col, out_col, tag):
-        vref = ray.put((vec, idx))
-        got = (
-            edges.map_batches(pass_factory(vref, in_col, out_col, tag),
-                              batch_format="pyarrow")
-            .groupby("k")
-            .aggregate(Sum("c", alias_name="c"))
-        ).to_pandas()
-        out = np.zeros(n, np.float64)
-        out[got["k"].to_numpy(np.int64)] = got["c"].to_numpy(np.float64)
-        return out
-
     for _ in range(HITS_ITERS):
-        auth = matvec(hubs, "src_domain", "dst_domain", "hits-a")
+        auth = _matvec(refs, hubs)
         na = np.linalg.norm(auth)
         auth = auth / na if na else auth
-        hubs = matvec(auth, "dst_domain", "src_domain", "hits-h")
+        hubs = _matvec(refs, auth, transpose=True)
         nh = np.linalg.norm(hubs)
         hubs = hubs / nh if nh else hubs
 
@@ -11549,20 +11472,15 @@ def q_hits_domains(sf_dir: str):
 KCORE_MAX_ROUNDS = 4096
 
 
-@ray.remote
-def _kcore_round_task(block: "pa.Table", c: np.ndarray):
+def _kcore_round(block: pa.Table, c: np.ndarray):
     """One synchronous h-index round over a block of packed CSR
     buckets: for every node in the block, the new value is the
     H-index of its neighbors' current values (largest h with ≥ h
-    neighbors valued ≥ h). Fully vectorized: one lexsort per block,
+    neighbors valued ≥ h). Fully vectorized: one lexsort per bucket,
     per-segment rank compare, segment-max via reduceat. Returns only
-    the CHANGED (node_id, new_value) pairs — the task wave's result
-    is O(changes), not O(nodes)."""
-    empty = (np.empty(0, np.int64), np.empty(0, np.int64))
-    # Ray may emit schema-less empty blocks from a grouped exchange
-    if block.num_rows == 0 or "nodes" not in block.schema.names:
-        return empty
-    out_nodes, out_vals = [], []
+    the CHANGED (node_id, new_value) pairs — the wave's result is
+    O(changes), not O(nodes)."""
+    out_nodes, out_vals = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     ncol, pcol, bcol = (block.column("nodes"), block.column("indptr"),
                         block.column("nbrs"))
     for i in range(block.num_rows):
@@ -11580,12 +11498,9 @@ def _kcore_round_task(block: "pa.Table", c: np.ndarray):
         h = np.maximum.reduceat(np.where(sv >= rank, rank, 0),
                                 indptr[:-1])
         mask = h != c[nodes_u]
-        if mask.any():
-            out_nodes.append(nodes_u[mask])
-            out_vals.append(h[mask])
-    if not out_nodes:
-        return empty
-    return (np.concatenate(out_nodes), np.concatenate(out_vals))
+        out_nodes.append(nodes_u[mask])
+        out_vals.append(h[mask])
+    return np.concatenate(out_nodes), np.concatenate(out_vals)
 
 
 def q_domain_kcore(sf_dir: str):
@@ -11594,41 +11509,31 @@ def q_domain_kcore(sf_dir: str):
     web-graph curation pass wants. H-INDEX FIXPOINT iteration (Lü,
     Chen, Ren, Zhang, Zhang & Zhou 2016, Nature Communications, "The
     H-index of a network node and its relation to degree and
-    coreness" — public algorithm): c⁰ = degree; each round a node's
-    value becomes the H-index of its neighbors' current values; the
-    sequence is pointwise nonincreasing and converges EXACTLY to
-    coreness (integer fixpoint, no tolerance). Distributed BSP form
-    (r4-verdict task 6 — per-round Ray fixed cost was the wall-time
-    at sf0.1, not data volume): the adjacency co-partitions ONCE by
-    node-hash into packed CSR rows (one bucketed exchange total), the
-    block refs pin in the object store, and each round is one wave of
-    raw Ray tasks (the brief's sanctioned escape hatch for iterative
-    fixpoints) computing per-node H-indices against the broadcast
-    value vector — no per-round shuffle, result traffic O(changed
-    nodes). Value vector + node index are driver-held (small-node-
-    axis bound, same as PageRank/HITS; the url-granular scale path is
-    a value join). Exact integer convergence probe (zero changes);
-    loud RuntimeError at the round cap. No SQL oracle (iterative
-    fixpoint, like PageRank/k-means); pytest pins it EQUAL to brute
-    Matula–Beck peeling."""
+    coreness" — public algorithm): each round a node's value becomes
+    the H-index of its neighbors' current values; from c ≡ n (≥ every
+    degree) the first round yields the degree, the sequence is
+    pointwise nonincreasing and converges EXACTLY to coreness
+    (integer fixpoint, no tolerance). The graph is encoded to int ids
+    once (``_encode_graph``), the adjacency co-partitions ONCE by
+    node-hash into packed CSR rows (one bucketed exchange total), and
+    each round is one ``pinned_wave`` over those blocks computing
+    per-node H-indices against the broadcast value vector — no
+    per-round shuffle, result traffic O(changed nodes). The value
+    vector and node list are driver-held (small-node-axis bound, same
+    as PageRank/HITS; the url-granular scale path is a value join).
+    Exact integer convergence probe (zero changes); loud RuntimeError
+    at the round cap. No SQL oracle (iterative fixpoint, like
+    PageRank/k-means); pytest pins it EQUAL to brute Matula–Beck
+    peeling."""
     import pandas as pd
 
-    und = _und_edges(sf_dir).materialize()
-    degs = _degree_frame(und)
-    nodes = sorted(degs["domain"])
-    if not nodes:
-        return pd.DataFrame({"domain": pd.Series([], dtype=object),
-                             "coreness": pd.Series([], dtype="int64")})
-    idx = {dname: i for i, dname in enumerate(nodes)}
-    c = (degs.set_index("domain").loc[nodes, "deg"]
-         .to_numpy(np.int64))
-    iref = ray.put(idx)
+    nodes, refs = _encode_graph(_und_edges(sf_dir), "a", "b")
+    n = len(nodes)
 
-    def to_ids(df):
-        ix = sim.resolve_broadcast(iref, key="kcore-idx")
-        a = df["a"].map(ix).to_numpy(np.int64)
-        b = df["b"].map(ix).to_numpy(np.int64)
-        return pd.DataFrame({"node": np.r_[a, b], "nbr": np.r_[b, a]})
+    def to_ids(t: pa.Table) -> pa.Table:
+        a, b = t.column("src").chunks, t.column("dst").chunks
+        return pa.table({"node": pa.chunked_array(a + b, pa.int64()),
+                         "nbr": pa.chunked_array(b + a, pa.int64())})
 
     def csr_pack(g):
         g = g.sort_values(["node", "nbr"], kind="mergesort")
@@ -11640,29 +11545,23 @@ def q_domain_kcore(sf_dir: str):
             "indptr": [indptr.tolist()],
             "nbrs": [g["nbr"].to_numpy(np.int64).tolist()]})
 
-    packed = dd.bucketed_close(und, "node", csr_pack, partial=to_ids,
-                               batch_format="pandas").materialize()
-    refs = packed.to_arrow_refs()
-
+    packed = dd.bucketed_close(ray.data.from_arrow_refs(refs), "node",
+                               csr_pack, partial=to_ids).materialize()
+    csr = packed.to_arrow_refs()
+    c = np.full(n, n, np.int64)
     for _ in range(KCORE_MAX_ROUNDS):
-        cref = ray.put(c)
-        futs = [_kcore_round_task.remote(r, cref) for r in refs]
-        changed = 0
-        new_c = c.copy()
-        for nds, vals in ray.get(futs):
-            changed += len(nds)
-            new_c[nds] = vals
-        if changed == 0:
+        changed = sim.pinned_wave(csr, _kcore_round, c)
+        if not sum(len(nds) for nds, _ in changed):
             break
-        c = new_c
+        for nds, vals in changed:
+            c[nds] = vals
     else:
         raise RuntimeError(
             f"k-core h-index fixpoint did not converge within "
             f"{KCORE_MAX_ROUNDS} rounds")
 
-    return pd.DataFrame({
-        "domain": nodes,
-        "coreness": c.astype(np.int64)})
+    return pd.DataFrame({"domain": pd.Series(nodes, dtype=object),
+                         "coreness": c})
 
 
 def q_degree_assortativity(sf_dir: str):
@@ -11795,8 +11694,8 @@ def q_value_interp(sf_dir: str):
 HARMONIC_MAX = 12  # BFS depth cap, pinned on both engine + oracle
 
 # Above this node count the whole-adjacency broadcast flips to the
-# frontier-join BFS (the CC_DRIVER_MAX_PAIRS cutover idiom); env-
-# overridable so tests can force the distributed path on tiny graphs.
+# frontier-join BFS (the CC_DRIVER_MAX_PAIRS cutover idiom; tests
+# patch the constant to force the distributed path on tiny graphs).
 HARMONIC_BCAST_MAX_NODES = 2_000_000
 
 
@@ -11920,20 +11819,18 @@ def q_harmonic_centrality(sf_dir: str):
     SOURCE axis is the Dataset — each batch of sources runs a local
     BFS against the broadcast graph, zero shuffle, exchange
     O(sources + results). Above HARMONIC_BCAST_MAX_NODES nodes
-    (env-overridable) the whole-adjacency broadcast flips to
+    the whole-adjacency broadcast flips to
     _harmonic_distributed's frontier-join BFS — same results, nothing
     graph-sized on the driver (r4 verdict fix; the
     CC_DRIVER_MAX_PAIRS cutover idiom). The recursive-CTE oracle
     mirrors the same min-hop floor sums."""
     import pandas as pd
 
-    limit = int(os.environ.get("HARMONIC_BCAST_MAX_NODES",
-                               HARMONIC_BCAST_MAX_NODES))
     # materialized: the node-count probe and the chosen path both
     # consume the edge Dataset
     und = _und_edges(sf_dir).materialize()
     # O(nodes) probe decides the path BEFORE any driver transfer
-    if _degree_ds(und).count() > limit:
+    if _degree_ds(und).count() > HARMONIC_BCAST_MAX_NODES:
         return _harmonic_distributed(und)
     epd = und.to_pandas()  # domain-granular: small axis
     adj: dict[str, set] = {}

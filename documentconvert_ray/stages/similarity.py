@@ -7,6 +7,9 @@
   number of Lloyd iterations (distributed partial-sum updates),
   vectors assigned to nearest centroid inside map_batches, queries
   probe only the nprobe nearest buckets.
+- ``pinned_wave``: the round primitive of every iterative fixpoint
+  (exact-integer k-means below; PageRank, HITS, k-core, BFS hops and
+  k-center in pipelines/queries.py).
 """
 
 from __future__ import annotations
@@ -66,6 +69,33 @@ def resolve_broadcast(ref, transform=None, key: str = ""):
         v = ray.get(ref)
         _REF_CACHE[k] = transform(v) if transform else v
     return _REF_CACHE[k]
+
+
+# Iterative fixpoints run their rounds as task waves over PINNED
+# blocks: the caller materializes its (encoded) input once and keeps
+# ds.to_arrow_refs(), because a Dataset pass per round pays the
+# executor's fixed cost and re-runs the encode every round.
+
+
+@ray.remote
+def _wave_task(block: pa.Table, fn, *args):
+    # an empty group of a grouped exchange yields an empty schema-less
+    # pandas block, which map_batches passes through unchanged and
+    # to_arrow_refs does not convert
+    if len(block) == 0:
+        return None
+    return fn(block, *args)
+
+
+def pinned_wave(refs, fn, *args) -> list:
+    """One round over pinned Arrow block refs: each arg is put once,
+    then one task per non-empty block runs the module-level
+    ``fn(block, *args)``. Returns the per-block results in ``refs``
+    order (empty and schema-less blocks skipped) for the caller to
+    fold on the driver."""
+    put = [ray.put(a) for a in args]
+    got = ray.get([_wave_task.remote(r, fn, *put) for r in refs])
+    return [g for g in got if g is not None]
 
 
 class CosineTopKPartial:
@@ -387,25 +417,37 @@ def _qmat(col) -> np.ndarray:
     return col.values.to_numpy(zero_copy_only=False).reshape(len(col), d)
 
 
-@ray.remote
-def _kmeans_assign_task(block: pa.Table, C: np.ndarray, k: int, d: int):
+def _min_id_rows(block: pa.Table, k: int):
+    ids = block.column("vec_id").to_numpy()
+    keep = np.argsort(ids, kind="stable")[:k]
+    return ids[keep], _qmat(block.column("q"))[keep]
+
+
+def smallest_ids(refs, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k rows with the smallest vec_ids of pinned (vec_id, q)
+    blocks, in vec_id order: a per-block min-k wave plus a driver fold
+    of ≤ k rows per block — never a global sort."""
+    parts = pinned_wave(refs, _min_id_rows, k)
+    ids = np.concatenate([p[0] for p in parts])
+    mat = np.concatenate([p[1] for p in parts])
+    keep = np.argsort(ids, kind="stable")[:k]
+    return ids[keep], mat[keep]
+
+
+def _kmeans_assign(block: pa.Table, C: np.ndarray, k: int):
     """One Lloyd assignment pass over one pinned quantized block:
     returns (per-cluster counts, per-cluster coordinate sums, block
     inertia) as plain arrays — integer-exact, so the driver fold is
     partitioning-order independent."""
-    cnt = np.zeros(k, np.int64)
-    sums = np.zeros((k, d), np.int64)
-    if block.num_rows == 0 or "q" not in block.schema.names:
-        return cnt, sums, 0
     X = _qmat(block.column("q"))
     xx = np.einsum("ij,ij->i", X, X)
     cc = np.einsum("ij,ij->i", C, C)
     dist = xx[:, None] - 2 * (X @ C.T) + cc[None, :]
     a = np.argmin(dist, axis=1)
     best = dist[np.arange(len(X)), a]
-    cnt += np.bincount(a, minlength=k).astype(np.int64)
+    sums = np.zeros((k, X.shape[1]), np.int64)
     np.add.at(sums, a, X)
-    return cnt, sums, int(best.sum())
+    return np.bincount(a, minlength=k).astype(np.int64), sums, int(best.sum())
 
 
 def kmeans_fit(ds, k: int = KMEANS_K, max_iters: int = KMEANS_MAX_ITERS):
@@ -414,64 +456,35 @@ def kmeans_fit(ds, k: int = KMEANS_K, max_iters: int = KMEANS_MAX_ITERS):
     clustering; cf. the IVF trainer above, which is a sampled float
     variant for index building).
 
-    Shape per iteration: broadcast the (k, d) int64 centroid matrix
-    (ray.put once per iteration) → one wave of raw Ray tasks over the
-    PINNED quantized block refs, each emitting ONE (k, d+2) partial
-    (counts, coordinate sums, inertia) → driver folds the tiny
-    partials with Python ints and floor-divides the new centroids.
-    Raw tasks (the brief's sanctioned escape hatch for iterative
-    fixpoints) instead of a per-iteration map_batches pass: the
-    Dataset executor's per-run fixed cost dominated wall-time at
-    sf0.1 (r4-verdict task 6), while a task wave over resident blocks
-    is milliseconds. Vectors never shuffle; the only driver
-    materialization is k·n_blocks partial rows. The quantized
-    projection is materialized once up front — the one legitimate
-    mid-pipeline materialize, because an iterative algorithm re-reads
-    its input max_iters times.
+    The quantized projection is materialized once and its blocks
+    pinned — an iterative algorithm re-reads its input max_iters
+    times. Each iteration is one ``pinned_wave``: the (k, d) int64
+    centroid matrix ships once, every block emits ONE partial (counts,
+    coordinate sums, inertia) and the driver folds them exactly and
+    floor-divides the new centroids. Vectors never shuffle; the only
+    driver materialization is k·n_blocks partial rows.
 
-    Init: the k vectors with the smallest vec_ids (partial per-batch
-    min-k combiner, never a global sort). Ties in the assignment step
-    break to the lowest cluster id; empty clusters keep their previous
-    centroid. Stops when centroids are a fixpoint or after max_iters.
+    Init: the k vectors with the smallest vec_ids (``smallest_ids``,
+    never a global sort). Ties in the assignment step break to the
+    lowest cluster id; empty clusters keep their previous centroid.
+    Stops when centroids are a fixpoint or after max_iters.
 
     Returns (centroids (k,d) int64, sizes (k,) int64, inertia_trace
     list[int] — one exact Σ min-dist per iteration)."""
-    import pandas as pd
-
-    qds = ds.map_batches(_quant_batch, batch_format="pyarrow").materialize()
-
-    def seed_partial(b: pa.Table) -> pa.Table:
-        ids = b.column("vec_id").to_numpy()
-        keep = np.argsort(ids, kind="stable")[:k]
-        return b.take(pa.array(np.sort(keep)))
-
-    seed = (qds.map_batches(seed_partial, batch_format="pyarrow")
-            .sort("vec_id").limit(k).take_all())
-    cent = np.stack([np.asarray(r["q"], np.int64) for r in seed])
-    d = cent.shape[1]
-
-    refs = qds.to_arrow_refs()
+    refs = ds.map_batches(_quant_batch, batch_format="pyarrow") \
+        .materialize().to_arrow_refs()
+    cent = smallest_ids(refs, k)[1]
     sizes = np.zeros(k, np.int64)
     trace: list[int] = []
     for _ in range(max_iters):
-        ref = ray.put(cent)
-        parts = ray.get([_kmeans_assign_task.remote(r, ref, k, d)
-                         for r in refs])
-        cnt = np.zeros(k, np.int64)
+        parts = pinned_wave(refs, _kmeans_assign, cent, k)
         # int64 fold: Σ coords ≤ n_vecs · 2^20, safe below ~2^43 vecs
-        sums = np.zeros((k, d), np.int64)
-        inertia = 0  # Python int — unbounded
-        for bc, bs, bi in parts:
-            cnt += bc
-            sums += bs
-            inertia += int(bi)
-        trace.append(inertia)
+        sizes = sum(p[0] for p in parts)
+        sums = sum(p[1] for p in parts)
+        trace.append(sum(p[2] for p in parts))  # Python int — unbounded
         new_cent = cent.copy()
-        for c in range(k):
-            if cnt[c] > 0:
-                new_cent[c] = np.array(
-                    [int(s) // int(cnt[c]) for s in sums[c]], np.int64)
-        sizes = cnt
+        nz = sizes > 0
+        new_cent[nz] = sums[nz] // sizes[nz, None]
         if np.array_equal(new_cent, cent):
             break
         cent = new_cent

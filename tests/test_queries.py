@@ -312,9 +312,11 @@ def test_cc_distributed_matches_driver_union_find(registry, ray_session,
     sf0.001 pair set yields exactly the driver union-find's labels."""
     from check_oracles import canon, to_pandas
 
+    from documentconvert_ray.pipelines import queries as q
+
     qs, _ = registry
     driver = canon(to_pandas(qs["near_dup_clusters"](SF_DIR)))
-    monkeypatch.setenv("CC_DRIVER_MAX_PAIRS", "0")
+    monkeypatch.setattr(q, "CC_DRIVER_MAX_PAIRS", 0)
     dist = canon(to_pandas(qs["near_dup_clusters"](SF_DIR)))
     assert len(driver) > 0
     assert driver.equals(dist)

@@ -1,8 +1,8 @@
 """Round-5 scale-path coverage: the r4-verdict cutover fixes for the
-three domain-axis graph queries. Each distributed path is forced via
-its env override on the tiny sf0.001 graph and must produce results
-IDENTICAL to the default (broadcast / driver-close) path — the same
-contract the CC_DRIVER_MAX_PAIRS cutover tests use."""
+three domain-axis graph queries. Each distributed path is forced by
+patching its cutover constant on the tiny sf0.001 graph and must
+produce results IDENTICAL to the default (broadcast / driver-close)
+path — the same contract the CC_DRIVER_MAX_PAIRS cutover tests use."""
 
 import os
 import sys
@@ -31,8 +31,10 @@ def _canon(df):
 
 def test_harmonic_distributed_equals_broadcast(registry, ray_session,
                                                monkeypatch):
+    from documentconvert_ray.pipelines import queries as q
+
     base = _canon(registry["harmonic_centrality"](SF))
-    monkeypatch.setenv("HARMONIC_BCAST_MAX_NODES", "1")
+    monkeypatch.setattr(q, "HARMONIC_BCAST_MAX_NODES", 1)
     dist = _canon(registry["harmonic_centrality"](SF))
     assert len(base) > 0
     assert base.equals(dist)
@@ -51,7 +53,7 @@ def test_harmonic_distributed_runs_frontier_path(registry, ray_session,
         return orig(und)
 
     monkeypatch.setattr(q, "_harmonic_distributed", spy)
-    monkeypatch.setenv("HARMONIC_BCAST_MAX_NODES", "1")
+    monkeypatch.setattr(q, "HARMONIC_BCAST_MAX_NODES", 1)
     q.q_harmonic_centrality(SF)
     assert called.get("yes")
 
@@ -71,10 +73,11 @@ def test_domain_clustering_close_is_distributed(registry, ray_session):
     assert (df["coeff_ppm"].to_numpy(np.int64) == want).all()
 
 
-def test_hits_node_index_without_driver_edges(registry, ray_session,
-                                              monkeypatch):
-    # q_hits_domains must not call Dataset.to_pandas on the edge
-    # Dataset any more — only O(nodes) frames may be collected
+@pytest.mark.parametrize("name", ["hits_domains", "pagerank_domains"])
+def test_node_index_without_driver_edges(registry, ray_session,
+                                         monkeypatch, name):
+    # the graph fixpoints must not call Dataset.to_pandas on the edge
+    # Dataset — only O(nodes) frames may be collected
     import ray.data
 
     big_pulls = []
@@ -87,7 +90,7 @@ def test_hits_node_index_without_driver_edges(registry, ray_session,
         return out
 
     monkeypatch.setattr(ray.data.Dataset, "to_pandas", spy)
-    got = registry["hits_domains"](SF)
+    got = registry[name](SF)
     assert len(got) > 0
     assert big_pulls == []
 
