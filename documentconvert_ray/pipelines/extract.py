@@ -224,18 +224,19 @@ def build_extract_ds(
         include_paths=include_shard,
         # one read task per input shard: without this Ray inserts a
         # SplitBlocks op (to hit its min-block-count heuristic) and
-        # reads in more, smaller tasks. ReadParquet stays its own
-        # operator: the PDF leg's batch_size keeps Ray from fusing the
-        # read into the extraction operator below, and fusing it
-        # (batch_size=None on the PDF leg) measured slower.
+        # reads in more, smaller tasks.
         override_num_blocks=max(1, len(read_paths)),
     )
-    # Every extraction stage is a stateless task stage with default
-    # resources, so Ray fuses stage 1, both PDF legs and the
-    # ShardWriter into ONE operator: no block is materialized in the
-    # object store between them, and the operator runs on as many
-    # CPUs as are free. Keep it actor-free: an actor pool holds its
-    # CPUs until the Dataset is garbage-collected, and under
+    # Every stage below is a stateless task stage with default
+    # resources and batch_size=None, so Ray fuses the read, stage 1,
+    # both PDF legs and run_extract_job's ShardWriter into ONE
+    # operator: each task reads one input shard and writes it, and no
+    # input block is ever materialized in the object store. Keep the
+    # read fused: as a second operator it took half the CPUs under
+    # Ray's per-operator reservation, and with the reservation off it
+    # ran ahead of extraction and spilled inputs larger than the
+    # object store to disk. Keep it actor-free: an actor pool holds
+    # its CPUs until the Dataset is garbage-collected, and under
     # num_cpus=1 it takes the CPU the read needs (deadlock).
     # batch_size=None → whole read blocks: payload bytes are consumed
     # block-at-a-time, never re-sliced into small batches
@@ -247,7 +248,9 @@ def build_extract_ds(
     ds = ds.map_batches(
         PdfExtractor(cfg),
         batch_format="pyarrow",
-        batch_size=cfg.pdf_batch_size,
+        # a batch_size here would keep Ray from fusing the read into
+        # this operator; PdfExtractor slices by cfg.pdf_batch_size
+        batch_size=None,
     )
     # Elephant leg (SURVEY.md §4.3.2): oversized PDFs arrive as
     # single-row blocks from the stage above (batch_size=None keeps
@@ -655,6 +658,16 @@ def run_extract_job(
             ShardWriter(out_dir, fmt=cfg.output_format),
             batch_format="pyarrow", batch_size=None
         )
+        # The job is one operator (the read fused in) whose only
+        # outputs are these partials, so Ray's per-operator reservation
+        # has no bytes to budget here. With it on, the executor submits
+        # a task only after it sees one finish, and it polls for that
+        # every 0.1 s: CPUs idle between the short extraction tasks.
+        # Off, Ray queues every task and a freed CPU takes the next at
+        # once. Set on the context this job's Datasets share; the
+        # caller's DataContext and every other Dataset keep Ray's
+        # default.
+        stats_ds.context.op_resource_reservation_enabled = False
         partials = stats_ds.to_pandas()  # tiny: one row per (block, shard)
         if stats_sink is not None:
             stats_sink(stats_ds.stats())

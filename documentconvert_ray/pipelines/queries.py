@@ -113,6 +113,22 @@ def _read(sf_dir: str, name: str, columns: list[str] | None = None):
     return ray.data.read_parquet(path, columns=columns, schema=schema)
 
 
+def _distinct(ds, *cols: str) -> list:
+    """Sorted distinct values of one or more same-typed columns, built
+    distributed: per-batch distinct → per-value ``groupby().count()``,
+    so only O(distinct) rows reach the driver. Unlike
+    ``Dataset.unique``, it holds on inputs that mix Arrow blocks with
+    the empty schema-less pandas blocks an empty group leaves."""
+    import pyarrow.compute as pc
+
+    def batch_distinct(t: pa.Table) -> pa.Table:
+        vals = pa.concat_arrays([t.column(c).combine_chunks() for c in cols])
+        return pa.table({"v": pc.unique(vals)})
+
+    return sorted(ds.map_batches(batch_distinct, batch_format="pyarrow")
+                  .groupby("v").count().to_pandas()["v"].tolist())
+
+
 def _parquet_col_max(sf_dir: str, name: str, col: str) -> int:
     """Column max from parquet ROW-GROUP STATISTICS — footer reads
     only, no data scan (ADVICE r4: q_vocab_growth issued a second
@@ -206,10 +222,10 @@ def q_domain_stats(sf_dir: str):
     """Per-DOMAIN curation rollup over the web corpus (the
     crawl-hygiene view every CC-scale pipeline needs before sampling:
     which hosts dominate, what payload mix they serve, how many
-    bytes). Map-side per-batch combiner — url parse (reference S5
-    family, sources/urls.py semantics), payload-kind split, byte
-    totals — then a tiny per-domain groupby (domains ≪ docs). Payload
-    bytes are length-counted in place and never shuffle."""
+    bytes). Map-side per-batch combiner — url host parse,
+    payload-kind split, byte totals — then a tiny per-domain groupby
+    (domains ≪ docs). Payload bytes are length-counted in place and
+    never shuffle."""
     import pandas as pd
     import re as _re
 
@@ -450,8 +466,7 @@ def q_minhash_dup_pairs(sf_dir: str):
          "jaccard_micro": pa.array([], pa.int64())})
     if cand.count() == 0:
         return empty
-    cand_ids = frozenset(cand.unique("doc_id_a")) | frozenset(
-        cand.unique("doc_id_b"))
+    cand_ids = frozenset(_distinct(cand, "doc_id_a", "doc_id_b"))
     cand_ref = ray.put(cand_ids)
     n_jb = dd.derive_buckets(len(cand_ids), rows_per_doc=1,
                              target=25_000, floor=8)
@@ -528,8 +543,7 @@ def _prefix_jaccard(sf_dir: str, use_df_order: bool):
          "jaccard_micro": pa.array([], pa.int64())})
     if cand.count() == 0:
         return empty
-    cand_ids = frozenset(cand.unique("doc_id_a")) | frozenset(
-        cand.unique("doc_id_b"))
+    cand_ids = frozenset(_distinct(cand, "doc_id_a", "doc_id_b"))
     cand_ref = ray.put(cand_ids)
     n_jb = dd.derive_buckets(len(cand_ids), rows_per_doc=1,
                              target=25_000, floor=8)
@@ -1272,11 +1286,12 @@ def q_benchmark_contamination(sf_dir: str):
     8-gram set (small side — real eval suites ≪ corpus), broadcast it,
     then one shuffle-free map_batches flags overlapping corpus docs.
     The gram-set build is itself a Dataset pass (map-side distinct per
-    batch + driver union of the SMALL result)."""
+    batch + a per-gram aggregate; only the SMALL result reaches the
+    driver)."""
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     gram_rows = ds.map_batches(tx.benchmark_gram_rows,
                                batch_format="pyarrow")
-    grams = frozenset(gram_rows.unique("g"))
+    grams = frozenset(_distinct(gram_rows, "g"))
     grams_ref = ray.put(grams)
     return ds.map_batches(
         tx.ContaminationStage(grams_ref), batch_format="pyarrow",
@@ -6123,14 +6138,8 @@ def _encode_graph(edges, a: str, b: str, w: str | None = None):
     path)."""
     import pyarrow.compute as pc
 
-    def endpoints(t: pa.Table) -> pa.Table:
-        both = pa.concat_arrays([t.column(a).combine_chunks(),
-                                 t.column(b).combine_chunks()])
-        return pa.table({"node": pc.unique(both)})
-
     edges = edges.materialize()  # read by the index and the encode
-    nodes = sorted(edges.map_batches(endpoints, batch_format="pyarrow")
-                   .groupby("node").count().to_pandas()["node"])
+    nodes = _distinct(edges, a, b)
     nref = ray.put(pa.array(nodes, pa.string()))
 
     def encode(t: pa.Table) -> pa.Table:

@@ -5,11 +5,17 @@ re-execution, no mid-pipeline materialization):
 
     read_parquet(shards, include_paths=True)
       → map_batches(SniffAndExtractHtml(cfg))       # whole read blocks
-      → map_batches(PdfExtractor(cfg), batch_size=small)
+      → map_batches(PdfExtractor(cfg))              # slices of pdf_batch_size
       → map_batches(PdfExtractor(cfg, elephant_leg=True))
       → map_batches(ShardWriter)
 
-All four are plain task stages, which Ray fuses into one operator.
+All four are plain task stages with batch_size=None, which Ray fuses
+with the read into one operator. Kept as one operator on purpose: a
+separate read operator would let Ray's per-operator resource
+reservation give each operator half the CPUs, so extraction would
+never run on more than half of them. ``run_extract_job`` turns that
+reservation off for its own Dataset: on one operator whose outputs are
+tiny it budgets no bytes and only delays task submission.
 
 Stage 1 sniffs content type (reference dispatcher semantics,
 services/document_service.py:83-126 — but on magic bytes, not
@@ -354,7 +360,10 @@ class PdfExtractor:
     Skew handling (SURVEY.md §4.3.2): rows whose payload is ≥
     ``cfg.elephant_bytes`` are NOT parsed here — they are yielded as
     their own single-row output blocks so one multi-hundred-page PDF
-    never enlarges a mixed batch. The elephant leg
+    never enlarges a mixed batch. The rest of a block is finished in
+    slices of ``cfg.pdf_batch_size`` rows, one output block each: the
+    stage receives whole read blocks, because a Ray batch_size would
+    keep the read out of the fused operator. The elephant leg
     (``elephant_leg=True``) receives those single-row blocks
     (batch_size=None preserves block granularity) and finishes each
     one; for every other block it is a null-check pass-through.
@@ -418,13 +427,13 @@ class PdfExtractor:
 
         is_elephant = pc.fill_null(pc.greater_equal(
             pc.binary_length(payload_col), self.cfg.elephant_bytes), False)
-        if not pc.any(is_elephant).as_py():
-            yield self._finish(batch)
-            return
-
-        main = batch.filter(pc.invert(is_elephant))
-        if main.num_rows:
-            yield self._finish(main)
-        # one single-row block per elephant, finished by the elephant leg
-        for i in pc.indices_nonzero(is_elephant).to_pylist():
-            yield batch.slice(i, 1)
+        has_elephant = pc.any(is_elephant).as_py()
+        main = batch.filter(pc.invert(is_elephant)) if has_elephant else batch
+        bs = self.cfg.pdf_batch_size
+        for start in range(0, main.num_rows, bs):
+            yield self._finish(main.slice(start, bs))
+        if has_elephant:
+            # one single-row block per elephant, finished by the
+            # elephant leg
+            for i in pc.indices_nonzero(is_elephant).to_pylist():
+                yield batch.slice(i, 1)

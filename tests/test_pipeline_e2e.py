@@ -273,3 +273,59 @@ def test_job_releases_cpus(ray_session, tmp_path):
     for k in range(3):
         run_extract_job(CORPUS_DIR, str(tmp_path / f"out{k}"))
         assert free_cpus(total, 2.0) >= total, f"job {k} kept a CPU"
+
+
+def _max_overlap(spans: list[tuple[float, float]]) -> int:
+    """Most spans open at one instant (an end sorts before a start at
+    the same timestamp)."""
+    edges = sorted([(s, 1) for s, _ in spans] + [(e, -1) for _, e in spans])
+    cur = best = 0
+    for _, step in edges:
+        cur += step
+        best = max(best, cur)
+    return best
+
+
+def test_job_runs_extraction_on_every_cpu_from_one_operator(
+        ray_session, tmp_path):
+    """The read is fused into the extraction operator, so (a) on 4 Ray
+    CPUs more than two extraction tasks run at once — a separate read
+    operator would leave extraction half the CPUs under Ray's
+    per-operator reservation — and (b) no input block passes through
+    the object store: the only blocks the job stores are its manifest
+    stats partials, so the read can never run ahead of extraction. The
+    job turns Ray's reservation off on its own Dataset only."""
+    import re
+
+    from ray.data import DataContext
+
+    reservation = DataContext.get_current().op_resource_reservation_enabled
+    run_extract_job(CORPUS_DIR, str(tmp_path / "warm"))
+    stats = []
+    t0 = time.time()
+    run_extract_job(CORPUS_DIR, str(tmp_path / "out"), stats_sink=stats.append)
+    t1 = time.time()
+    assert (DataContext.get_current().op_resource_reservation_enabled
+            == reservation)
+
+    stored = sum(int(n) for n in re.findall(
+        r"Output size bytes per block: .*?(\d+) total", stats[0]))
+    input_bytes = sum(os.path.getsize(p) for p in corpus_files())
+    assert stored < input_bytes // 100, (stored, input_bytes)
+
+    def overlap() -> int:
+        spans = [
+            (e["ts"], e["ts"] + e["dur"]) for e in ray_session.timeline()
+            if e.get("cat", "").startswith("task::")
+            and "SniffAndExtractHtml" in e["cat"]
+            and t0 * 1e6 <= e["ts"] and e["ts"] + e["dur"] <= t1 * 1e6
+        ]
+        return _max_overlap(spans)
+
+    # task events reach the timeline asynchronously (~1 s flush)
+    deadline = time.monotonic() + 10.0
+    got = overlap()
+    while got <= 2 and time.monotonic() < deadline:
+        time.sleep(0.5)
+        got = overlap()
+    assert got > 2, f"at most {got} extraction tasks overlapped on 4 CPUs"

@@ -277,6 +277,23 @@ def test_prefix_jaccard_order_invariance(ray_session):
     assert (a["jaccard_micro"] >= 600_000).all() if len(a) else True
 
 
+def test_distinct_over_empty_schemaless_blocks(ray_session):
+    """The candidate-id distinct holds on the block mix an empty group
+    of a grouped exchange leaves (empty schema-less pandas blocks next
+    to Arrow blocks), where ``Dataset.unique`` raises TypeError."""
+    import pandas as pd
+    import pyarrow as pa
+    import ray.data
+
+    from documentconvert_ray.pipelines.queries import _distinct
+
+    ds = ray.data.from_blocks([
+        pd.DataFrame(), pa.table({"a": [3, 1, 1], "b": [2, 5, 3]}),
+        pd.DataFrame(), pa.table({"a": [7], "b": [1]}),
+    ])
+    assert _distinct(ds, "a", "b") == [1, 2, 3, 5, 7]
+
+
 def test_near_dup_clusters_reps_are_component_minima(registry, ray_session):
     """Every rep is the min id of its cluster and every clustered doc
     appears exactly once."""

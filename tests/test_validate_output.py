@@ -1,5 +1,4 @@
-"""Output-integrity validator (tools/validate_output.py) + S5 url
-parsing."""
+"""Output-integrity validator (tools/validate_output.py)."""
 
 import json
 import os
@@ -10,7 +9,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tools"))
 from conftest import CORPUS_DIR
 
 from documentconvert_ray.pipelines.extract import run_extract_job
-from documentconvert_ray.sources.urls import parse_storage_url
 from validate_output import validate
 
 
@@ -31,16 +29,3 @@ def test_validator_passes_then_catches_corruption(ray_session, tmp_path):
     os.remove(mp)
     problems = validate(out)
     assert any("without manifest" in p for p in problems)
-
-
-def test_parse_storage_url():
-    assert parse_storage_url("s3://b/k/x.parquet") == {
-        "scheme": "s3", "bucket": "b", "key": "k/x.parquet"
-    }
-    assert parse_storage_url(
-        "https://mybucket.s3.us-east-1.amazonaws.com/a/b.pdf"
-    ) == {"scheme": "s3", "bucket": "mybucket", "key": "a/b.pdf"}
-    assert parse_storage_url(
-        "https://s3.eu-west-1.amazonaws.com/mybucket/a/b.pdf"
-    ) == {"scheme": "s3", "bucket": "mybucket", "key": "a/b.pdf"}
-    assert parse_storage_url("https://example.com/x.pdf") is None
