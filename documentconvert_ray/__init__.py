@@ -14,6 +14,6 @@ The library never calls ray.init()/ray.shutdown(); sessions are owned
 by the caller (bench.py, CLI, test fixture, or the grading driver).
 """
 
-__version__ = "0.13.0"
+__version__ = "0.13.1"
 
 ENGINE_VERSION = __version__

@@ -48,21 +48,28 @@ PAD = bytes.fromhex(
 
 
 def rc4(key: bytes, data: bytes) -> bytes:
-    """RC4 stream cipher (symmetric: encrypt == decrypt)."""
+    """RC4 stream cipher (symmetric: encrypt == decrypt). The
+    keystream is XORed onto the data as one big integer."""
+    k = key * (256 // len(key) + 1)
     S = list(range(256))
     j = 0
-    klen = len(key)
     for i in range(256):
-        j = (j + S[i] + key[i % klen]) & 0xFF
-        S[i], S[j] = S[j], S[i]
-    out = bytearray(len(data))
+        si = S[i]
+        j = (j + si + k[i]) & 0xFF
+        S[i] = S[j]
+        S[j] = si
+    ks = bytearray(len(data))
     i = j = 0
-    for n, c in enumerate(data):
+    for n in range(len(data)):
         i = (i + 1) & 0xFF
-        j = (j + S[i]) & 0xFF
-        S[i], S[j] = S[j], S[i]
-        out[n] = c ^ S[(S[i] + S[j]) & 0xFF]
-    return bytes(out)
+        si = S[i]
+        j = (j + si) & 0xFF
+        sj = S[j]
+        S[i] = sj
+        S[j] = si
+        ks[n] = S[(si + sj) & 0xFF]
+    return (int.from_bytes(data, "big")
+            ^ int.from_bytes(ks, "big")).to_bytes(len(data), "big")
 
 
 def file_key(owner_entry: bytes, perms: int, id0: bytes,

@@ -56,7 +56,9 @@ analogue of `_analyze_mineru_python_error` (services/document_service.py:
 from __future__ import annotations
 
 import re
+import struct
 import zlib
+from itertools import accumulate
 from dataclasses import dataclass, field
 
 from ..config import DEFAULT_CONFIG, ExtractConfig
@@ -64,8 +66,15 @@ from .markdown import Block, render, render_table
 
 # ------------------------------------------------------------ object model
 
-_OBJ_RE = re.compile(rb"(\d+)\s+(\d+)\s+obj\b")
 _NUM_RE = re.compile(rb"[-+]?\d*\.?\d+")
+# whitespace (the lexer's set: no \x0b, plus NUL) and % comments
+_WS_RE = re.compile(rb"(?:[ \t\r\n\x0c\x00]+|%[^\r\n]*)*")
+_NAME_RE = re.compile(rb"/([^ \t\r\n\x0c\x00/<>\[\]()%]*)")
+# the "G R" tail of an indirect reference, looked for within 32 bytes
+_REF_TAIL_RE = re.compile(rb"(\d+)\s+R\b")
+# a run of literal-string bytes that need no escape or nesting work
+_PLAIN_RE = re.compile(rb"[^()\\]*")
+_ESCAPES = {0x6E: 10, 0x72: 13, 0x74: 9, 0x62: 8, 0x66: 12}  # \n \r \t \b \f
 
 
 class _Ref:
@@ -81,6 +90,64 @@ class PdfError(Exception):
         self.kind = kind
 
 
+def _literal_string(d: bytes, i: int) -> tuple[bytes, int]:
+    """The literal string whose opening ``(`` ends at ``i``: (bytes,
+    index after the closing ``)``). Balanced parentheses nest; each
+    run of plain bytes is copied with one regex match."""
+    n = len(d)
+    j = _PLAIN_RE.match(d, i).end()
+    out = bytearray()
+    depth = 1
+    while True:
+        out += d[i:j]
+        if j >= n:
+            break
+        c = d[j]
+        i = j + 1
+        if c == 0x5C:  # backslash
+            if i >= n:
+                break
+            e = d[i]
+            if e in _ESCAPES:
+                out.append(_ESCAPES[e])
+                i += 1
+            elif 0x30 <= e <= 0x37:  # up to three octal digits
+                k = i + 1
+                while k < n and k < i + 3 and 0x30 <= d[k] <= 0x37:
+                    k += 1
+                out.append(int(d[i:k], 8) & 0xFF)
+                i = k
+            elif e in b"\r\n":  # line continuation
+                i += 1
+                if e == 0x0D and i < n and d[i] == 0x0A:
+                    i += 1
+            else:  # \( \) \\ and unknown escapes: the byte itself
+                out.append(e)
+                i += 1
+        elif c == 0x28:
+            depth += 1
+            out.append(c)
+        else:  # ')'
+            depth -= 1
+            if depth == 0:
+                return bytes(out), i
+            out.append(c)
+        j = _PLAIN_RE.match(d, i).end()
+    raise PdfError("truncated_pdf", "unterminated string")
+
+
+def _hex_string(d: bytes, i: int) -> tuple[bytes, int]:
+    """The hex string whose ``<`` ends at ``i``: (bytes, index after
+    ``>``); whitespace is ignored and an odd final digit means 0."""
+    end = d.find(b">", i)
+    if end < 0:
+        raise PdfError("truncated_pdf", "unterminated hex string")
+    hexs = d[i:end].translate(None, b" \t\n\r\x0b\x0c")
+    if len(hexs) % 2:
+        hexs += b"0"
+    return bytes.fromhex(hexs.decode("ascii")), end + 1
+
+
 class _Lexer:
     """Minimal PDF object lexer/parser (dicts, arrays, names, numbers,
     strings, refs, booleans, null)."""
@@ -90,141 +157,72 @@ class _Lexer:
         self.i = pos
         self.n = len(data)
 
-    def _skip_ws(self) -> None:
-        d, n = self.d, self.n
-        while self.i < n:
-            c = d[self.i]
-            if c in b" \t\r\n\x0c\x00":
-                self.i += 1
-            elif c == 0x25:  # '%' comment
-                while self.i < n and d[self.i] not in b"\r\n":
-                    self.i += 1
-            else:
-                return
-
     def parse(self):
-        self._skip_ws()
+        self.i = _WS_RE.match(self.d, self.i).end()
         if self.i >= self.n:
             raise PdfError("truncated_pdf", "unexpected end of data")
-        d = self.d
-        c = d[self.i]
-        if d.startswith(b"<<", self.i):
-            return self._parse_dict()
-        if c == 0x3C:  # '<' hex string
-            return self._parse_hex_string()
+        return self._value()
+
+    def _value(self):
+        """The object at self.i (whitespace already skipped)."""
+        d, i = self.d, self.i
+        c = d[i]
+        if c == 0x3C:  # '<'
+            if d.startswith(b"<<", i):
+                return self._parse_dict()
+            s, self.i = _hex_string(d, i + 1)
+            return s
         if c == 0x5B:  # '['
             return self._parse_array()
         if c == 0x28:  # '('
-            return self._parse_string()
+            s, self.i = _literal_string(d, i + 1)
+            return s
         if c == 0x2F:  # '/'
             return self._parse_name()
-        if d.startswith(b"true", self.i):
+        if d.startswith(b"true", i):
             self.i += 4
             return True
-        if d.startswith(b"false", self.i):
+        if d.startswith(b"false", i):
             self.i += 5
             return False
-        if d.startswith(b"null", self.i):
+        if d.startswith(b"null", i):
             self.i += 4
             return None
         return self._parse_number_or_ref()
 
     def _parse_dict(self):
+        d, n, ws = self.d, self.n, _WS_RE.match
         self.i += 2
         out = {}
         while True:
-            self._skip_ws()
-            if self.d.startswith(b">>", self.i):
-                self.i += 2
+            self.i = i = ws(d, self.i).end()
+            if d.startswith(b">>", i):
+                self.i = i + 2
                 return out
-            if self.i >= self.n:
+            if i >= n:
                 raise PdfError("truncated_pdf", "unterminated dict")
             key = self._parse_name()
             out[key] = self.parse()
 
     def _parse_array(self):
+        d, n, ws = self.d, self.n, _WS_RE.match
         self.i += 1
         out = []
         while True:
-            self._skip_ws()
-            if self.i >= self.n:
+            self.i = i = ws(d, self.i).end()
+            if i >= n:
                 raise PdfError("truncated_pdf", "unterminated array")
-            if self.d[self.i] == 0x5D:  # ']'
-                self.i += 1
+            if d[i] == 0x5D:  # ']'
+                self.i = i + 1
                 return out
-            out.append(self.parse())
+            out.append(self._value())
 
     def _parse_name(self) -> str:
-        if self.d[self.i] != 0x2F:
+        m = _NAME_RE.match(self.d, self.i)
+        if m is None:
             raise PdfError("pdf_parse_error", "expected name")
-        self.i += 1
-        start = self.i
-        d, n = self.d, self.n
-        while self.i < n and d[self.i] not in b" \t\r\n\x0c\x00/<>[]()%":
-            self.i += 1
-        return d[start:self.i].decode("latin-1")
-
-    def _parse_string(self) -> bytes:
-        self.i += 1
-        out = bytearray()
-        depth = 1
-        d, n = self.d, self.n
-        while self.i < n:
-            c = d[self.i]
-            if c == 0x5C:  # backslash
-                self.i += 1
-                if self.i >= n:
-                    break
-                e = d[self.i]
-                if e in b"nrtbf":
-                    out.append({0x6E: 10, 0x72: 13, 0x74: 9, 0x62: 8, 0x66: 12}[e])
-                    self.i += 1
-                elif e in b"()\\":
-                    out.append(e)
-                    self.i += 1
-                elif 0x30 <= e <= 0x37:  # octal
-                    oct_digits = bytearray()
-                    for _ in range(3):
-                        if self.i < n and 0x30 <= d[self.i] <= 0x37:
-                            oct_digits.append(d[self.i])
-                            self.i += 1
-                        else:
-                            break
-                    out.append(int(oct_digits, 8) & 0xFF)
-                elif e in b"\r\n":  # line continuation
-                    self.i += 1
-                    if e == 0x0D and self.i < n and d[self.i] == 0x0A:
-                        self.i += 1
-                else:
-                    out.append(e)
-                    self.i += 1
-            elif c == 0x28:
-                depth += 1
-                out.append(c)
-                self.i += 1
-            elif c == 0x29:
-                depth -= 1
-                if depth == 0:
-                    self.i += 1
-                    return bytes(out)
-                out.append(c)
-                self.i += 1
-            else:
-                out.append(c)
-                self.i += 1
-        raise PdfError("truncated_pdf", "unterminated string")
-
-    def _parse_hex_string(self) -> bytes:
-        self.i += 1
-        start = self.i
-        end = self.d.find(b">", self.i)
-        if end < 0:
-            raise PdfError("truncated_pdf", "unterminated hex string")
-        hexs = re.sub(rb"\s+", b"", self.d[start:end])
-        self.i = end + 1
-        if len(hexs) % 2:
-            hexs += b"0"
-        return bytes.fromhex(hexs.decode("ascii"))
+        self.i = m.end()
+        return m.group(1).decode("latin-1")
 
     def _parse_number_or_ref(self):
         m = _NUM_RE.match(self.d, self.i)
@@ -232,23 +230,58 @@ class _Lexer:
             raise PdfError("pdf_parse_error", f"bad token at {self.i}")
         tok = m.group(0)
         self.i = m.end()
-        # lookahead for "G R" (indirect reference)
-        save = self.i
-        self._skip_ws()
-        m2 = re.match(rb"(\d+)\s+R\b", self.d[self.i:self.i + 32])
-        if m2 and b"." not in tok:
-            self.i += m2.end()
-            return _Ref(int(tok))
-        self.i = save
         if b"." in tok:
             return float(tok)
+        # lookahead for "G R" (indirect reference)
+        k = _WS_RE.match(self.d, self.i).end()
+        m2 = _REF_TAIL_RE.match(self.d, k, k + 32)
+        if m2:
+            self.i = m2.end()
+            return _Ref(int(tok))
         return int(tok)
 
 
 # ------------------------------------------------------------- document
 
+_DIGITS = frozenset(b"0123456789")
+_SPACES = frozenset(b" \t\n\r\x0b\x0c")  # the bytes-regex \s class
+_WORD = frozenset(b"0123456789_ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                  b"abcdefghijklmnopqrstuvwxyz")
 
-@dataclass
+
+def _run_start(raw: bytes, j: int, cls: frozenset) -> int:
+    """Start of the run of ``cls`` bytes that ends at ``j``."""
+    while j and raw[j - 1] in cls:
+        j -= 1
+    return j
+
+
+def _obj_headers(raw: bytes) -> list[tuple[int, int, int, int]]:
+    """Every ``N G obj`` object header — the matches of the regex
+    ``(\\d+)\\s+(\\d+)\\s+obj\\b`` over ``raw``, as (start, end, N, G) —
+    found from the ``obj`` keywords: each one is followed by a
+    non-word byte, and walking back from it crosses whitespace,
+    digits, whitespace and digits. Runs of digits and whitespace never
+    span an ``obj``, so the walk-backs are disjoint and the scan is
+    linear; a regex scan would start an attempt at every digit of the
+    payload, binary streams included."""
+    out = []
+    n = len(raw)
+    k = raw.find(b"obj")
+    while k >= 0:
+        if k + 3 == n or raw[k + 3] not in _WORD:
+            ws1 = _run_start(raw, k, _SPACES)
+            gen0 = _run_start(raw, ws1, _DIGITS)
+            ws0 = _run_start(raw, gen0, _SPACES)
+            num0 = _run_start(raw, ws0, _DIGITS)
+            if ws1 < k and gen0 < ws1 and ws0 < gen0 and num0 < ws0:
+                out.append((num0, k + 3, int(raw[num0:ws0]),
+                            int(raw[gen0:ws1])))
+        k = raw.find(b"obj", k + 3)
+    return out
+
+
+@dataclass(slots=True)
 class _TextItem:
     page: int
     x: int  # milli-units
@@ -260,7 +293,7 @@ class _TextItem:
     math: bool = False  # shown in a math font (formula detection)
 
 
-@dataclass
+@dataclass(slots=True)
 class _FigItem:
     page: int
     x: int
@@ -285,14 +318,16 @@ class _PdfDoc:
         self.enc_key: bytes | None = None  # set by setup_decryption()
         self.enc_aes = False  # /AESV2 or /AESV3 (vs RC4)
         self.enc_r6 = False  # /V 5 /R 6: file key used directly
-        for m in _OBJ_RE.finditer(raw):
-            num = int(m.group(1))
-            end = raw.find(b"endobj", m.end())
+        # ToUnicode stream num -> parsed CMap ({} when unreadable):
+        # fonts are shared by pages, their CMaps are parsed once
+        self._cmaps: dict[int, dict[int, str]] = {}
+        for _start, body, num, gen in _obj_headers(raw):
+            end = raw.find(b"endobj", body)
             if end < 0:
                 end = len(raw)
             # first definition wins (deterministic)
             if num not in self.objects:
-                self.objects[num] = (m.end(), end, int(m.group(2)))
+                self.objects[num] = (body, end, gen)
 
     def setup_decryption(self) -> None:
         """Resolve the /Encrypt dict and validate the EMPTY user
@@ -491,7 +526,10 @@ class _PdfDoc:
 
     def get_stream(self, num: int) -> bytes:
         """Decoded stream bytes for object `num`."""
-        sdict, data = self._stream_raw(num)
+        return self._unfilter(*self._stream_raw(num))
+
+    def _unfilter(self, sdict: dict, data: bytes) -> bytes:
+        """Run a stream's /Filter chain over its raw bytes."""
         filt = self.resolve(sdict.get("Filter"))
         filters = filt if isinstance(filt, list) else ([filt] if filt else [])
         parms = self.resolve(sdict.get("DecodeParms", sdict.get("DP")))
@@ -509,7 +547,8 @@ class _PdfDoc:
                 data = lzw_decode(data)
                 data = _apply_predictor(data, parm, self)
             elif f == "ASCIIHexDecode":
-                hexs = re.sub(rb"\s+", b"", data.split(b">", 1)[0])
+                hexs = data.split(b">", 1)[0].translate(
+                    None, b" \t\n\r\x0b\x0c")
                 if len(hexs) % 2:
                     hexs += b"0"
                 try:
@@ -527,6 +566,18 @@ class _PdfDoc:
             else:
                 raise PdfError("unsupported_pdf_filter", f"filter {f}")
         return data
+
+    def tounicode(self, num: int) -> dict[int, str]:
+        """The parsed /ToUnicode CMap stream ``num`` ({} when it is
+        unreadable or maps nothing), parsed once per document."""
+        cmap = self._cmaps.get(num)
+        if cmap is None:
+            try:
+                cmap = parse_tounicode(self.get_stream(num))
+            except PdfError:
+                cmap = {}
+            self._cmaps[num] = cmap
+        return cmap
 
     def pages(self) -> list[dict]:
         """Page dicts in document order via the /Root → /Pages → /Kids walk;
@@ -652,13 +703,10 @@ def page_font_cmaps(doc: "_PdfDoc", pdict: dict) -> dict:
             continue
         tu = fd.get("ToUnicode")
         if isinstance(tu, _Ref):
-            try:
-                cmap = parse_tounicode(doc.get_stream(tu.num))
-                if cmap:  # an empty/unrecognized CMap must not shadow
-                    out[name] = cmap  # the Identity-H fallback below
-                    continue
-            except PdfError:
-                pass
+            cmap = doc.tounicode(tu.num)
+            if cmap:  # an empty/unrecognized CMap must not shadow
+                out[name] = cmap  # the Identity-H fallback below
+                continue
         if doc.resolve(fd.get("Encoding")) in ("Identity-H", "Identity-V"):
             out[name] = IDENTITY_CMAP
     return out
@@ -703,15 +751,17 @@ def page_math_fonts(doc: "_PdfDoc", pdict: dict) -> set:
 
 # -------------------------------------------------- content-stream engine
 
+# One content-stream token per match, named by its group: the first
+# byte decides the kind, so the alternatives never compete. ``>>``,
+# ``]`` and bytes that start no token (whitespace, ``%``, stray
+# delimiters) are skipped by the search.
 _TOKEN_RE = re.compile(
     rb"""
-      (?P<str>\()                                 # literal string start
-    | (?P<hex><(?![<]))                           # hex string start
-    | (?P<dict><<|>>)
-    | (?P<arr>\[|\])
-    | (?P<name>/[^\s/<>\[\]()%]*)
-    | (?P<num>[-+]?\d*\.?\d+)
-    | (?P<op>[A-Za-z'"][A-Za-z0-9*'"]*)
+      ([-+]?\d*\.?\d+)                # 1 number
+    | ([A-Za-z'"][A-Za-z0-9*'"]*)     # 2 operator
+    | /([^\s/<>\[\]()%]*)             # 3 name
+    | \(([^()\\]*)\)                  # 4 literal string, no escape or nesting
+    | (\(|<<|<|\[)                    # 5 string, dict, hex string or array
     """,
     re.VERBOSE,
 )
@@ -719,7 +769,7 @@ _TOKEN_RE = re.compile(
 
 def _mu(v: float) -> int:
     """Convert user-space units to integer milli-units."""
-    return int(round(v * 1000))
+    return round(v * 1000)  # round() of a float or int is an int
 
 
 class _ContentInterp:
@@ -757,24 +807,26 @@ class _ContentInterp:
         if self.cmap is not None:
             # Type0/CID font: 2-byte codes through the ToUnicode map
             cm = self.cmap
-            codes = ((s[i] << 8) | s[i + 1]
-                     for i in range(0, len(s) - 1, 2))
+            n = len(s) >> 1
+            codes = struct.unpack(f">{n}H", s[:2 * n])
             if not isinstance(cm, dict):  # IDENTITY_CMAP sentinel
                 # no ToUnicode: treat CIDs as Unicode code points
                 # (skip NUL and surrogates)
-                txt = "".join(
+                txt = "".join([
                     chr(c) for c in codes
-                    if c and not 0xD800 <= c <= 0xDFFF)
+                    if c and not 0xD800 <= c <= 0xDFFF])
             else:
-                txt = "".join(cm.get(c, "") for c in codes)
+                get = cm.get
+                txt = "".join([get(c, "") for c in codes])
         else:
             txt = s.decode("latin-1")
         if txt:
-            adv = 0.5 * self.size * len(txt)  # 0.5 em/char, deterministic
-            self.items.append(
-                _TextItem(self.page, _mu(self.tx), _mu(self.ty), _mu(self.size),
-                          txt, self.seq, _mu(adv), self.math)
-            )
+            size = self.size
+            adv = 0.5 * size * len(txt)  # 0.5 em/char, deterministic
+            self.items.append(_TextItem(
+                self.page, round(self.tx * 1000), round(self.ty * 1000),
+                round(size * 1000), txt, self.seq, round(adv * 1000),
+                self.math))
             self.seq += 1
             self.tx += adv
 
@@ -809,129 +861,179 @@ class _ContentInterp:
 
     def run(self, data: bytes) -> None:
         stack: list = []
-        i = 0
-        n = len(data)
-        while i < n:
-            m = _TOKEN_RE.search(data, i)
-            if not m:
-                break
-            i = m.end()
-            if m.group("str"):
-                lex = _Lexer(data, m.start())
-                stack.append(lex._parse_string())
-                i = lex.i
-            elif m.group("hex"):
-                lex = _Lexer(data, m.start())
-                stack.append(lex._parse_hex_string())
-                i = lex.i
-            elif m.group("dict"):
-                if m.group("dict") == b"<<":
-                    lex = _Lexer(data, m.start())
-                    stack.append(lex._parse_dict())
-                    i = lex.i
-            elif m.group("arr"):
-                if m.group("arr") == b"[":
-                    # arrays in content streams: TJ operand
-                    lex = _Lexer(data, m.start())
-                    try:
-                        stack.append(lex._parse_array())
-                        i = lex.i
-                    except PdfError:
-                        stack.append([])
-            elif m.group("name"):
-                stack.append(m.group("name")[1:].decode("latin-1"))
-            elif m.group("num"):
-                tok = m.group("num")
-                stack.append(float(tok) if b"." in tok else int(tok))
+        push = stack.append
+        ops = _OPS
+        nums: dict[bytes, int | float] = {}
+        pos = 0
+        while True:
+            for m in _TOKEN_RE.finditer(data, pos):
+                k = m.lastindex
+                if k == 1:
+                    tok = m[1]
+                    v = nums.get(tok)
+                    if v is None:
+                        v = nums[tok] = float(tok) if b"." in tok else int(tok)
+                    push(v)
+                elif k == 2:
+                    op = ops.get(m[2])
+                    if op is not None:
+                        op(self, stack)
+                    stack.clear()
+                elif k == 3:
+                    push(m[3].decode("latin-1"))
+                elif k == 4:
+                    push(m[4])
+                else:
+                    pos = self._operand(data, m, push)
+                    break
             else:
-                self._op(m.group("op").decode("latin-1"), stack)
-                stack.clear()
-        # commit any un-stroked residue deterministically: dropped
+                # an un-stroked path left at the end is dropped
+                return
 
-    def _op(self, op: str, stack: list) -> None:  # noqa: C901 — flat dispatch
-        def num(idx: int) -> float:
-            v = stack[idx]
-            return float(v) if isinstance(v, (int, float)) else 0.0
+    @staticmethod
+    def _operand(data: bytes, m, push) -> int:
+        """Push the operand the lexer reads from token ``m``; returns
+        the index after it."""
+        tok = m[5]
+        if tok == b"(":
+            v, i = _literal_string(data, m.end())
+        elif tok == b"<":
+            v, i = _hex_string(data, m.end())
+        else:
+            lex = _Lexer(data, m.start())
+            if tok == b"<<":
+                v = lex._parse_dict()
+            else:
+                # arrays in content streams: TJ operand
+                try:
+                    v = lex._parse_array()
+                except PdfError:
+                    push([])
+                    return m.end()
+            i = lex.i
+        push(v)
+        return i
 
-        if op == "Tf" and len(stack) >= 2:
-            self.size = num(-1)
-            fname = stack[-2]
+    # -- operators: one method each, looked up in _OPS by the operator
+    # bytes; an operator with too few operands is a no-op, and so is
+    # every operator outside _OPS (color, line width, marked content)
+    def _Tf(self, st: list) -> None:
+        if len(st) >= 2:
+            self.size = _num(st[-1])
+            fname = st[-2]
             self.cmap = (self.font_cmaps.get(fname)
                          if isinstance(fname, str) else None)
             self.math = fname in self.math_fonts
-        elif op == "TL" and len(stack) >= 1:
-            self.leading = num(-1)
-        elif op == "Td" and len(stack) >= 2:
-            self.lx += num(-2)
-            self.ty += num(-1)
+
+    def _TL(self, st: list) -> None:
+        if st:
+            self.leading = _num(st[-1])
+
+    def _Td(self, st: list) -> None:
+        if len(st) >= 2:
+            self.lx += _num(st[-2])
+            self.ty += _num(st[-1])
             self.tx = self.lx
-        elif op == "TD" and len(stack) >= 2:
-            self.leading = -num(-1)
-            self.lx += num(-2)
-            self.ty += num(-1)
-            self.tx = self.lx
-        elif op == "Tm" and len(stack) >= 6:
-            self.lx = num(-2)
-            self.ty = num(-1)
+
+    def _TD(self, st: list) -> None:
+        if len(st) >= 2:
+            self.leading = -_num(st[-1])
+            self._Td(st)
+
+    def _Tm(self, st: list) -> None:
+        if len(st) >= 6:
+            self.lx = _num(st[-2])
+            self.ty = _num(st[-1])
             self.tx = self.lx
             # scale factor from matrix a-component affects effective size
-            a = num(-6)
+            a = _num(st[-6])
             if a not in (0.0, 1.0):
                 self.size = self.size * abs(a)
-        elif op == "T*":
+
+    def _Tstar(self, st: list) -> None:
+        self._newline()
+
+    def _Tj(self, st: list) -> None:
+        if st and isinstance(st[-1], bytes):
+            self._show(st[-1])
+
+    def _quote(self, st: list) -> None:
+        if st:
             self._newline()
-        elif op == "Tj" and stack:
-            v = stack[-1]
-            if isinstance(v, bytes):
-                self._show(v)
-        elif op == "'" and stack:
+            self._Tj(st)
+
+    def _dquote(self, st: list) -> None:
+        if len(st) >= 3:
             self._newline()
-            v = stack[-1]
-            if isinstance(v, bytes):
-                self._show(v)
-        elif op == '"' and len(stack) >= 3:
-            self._newline()
-            v = stack[-1]
-            if isinstance(v, bytes):
-                self._show(v)
-        elif op == "TJ" and stack:
-            v = stack[-1]
-            if isinstance(v, list):
-                parts = [p for p in v if isinstance(p, bytes)]
-                self._show(b"".join(parts))
-        elif op == "BT":
-            self.tx = self.ty = self.lx = 0.0
-        elif op == "ET":
-            pass
-        elif op == "cm" and len(stack) >= 6:
-            self.cm = (num(-6), num(-5), num(-4), num(-3), num(-2), num(-1))
-        elif op == "q":
-            self.cm_stack.append(self.cm)
-        elif op == "Q":
-            if self.cm_stack:
-                self.cm = self.cm_stack.pop()
-        elif op == "re" and len(stack) >= 4:
-            self.path_rects.append((num(-4), num(-3), num(-2), num(-1)))
-        elif op == "m" and len(stack) >= 2:
-            self.cur_pt = (num(-2), num(-1))
-        elif op == "l" and len(stack) >= 2:
+            self._Tj(st)
+
+    def _TJ(self, st: list) -> None:
+        if st and isinstance(st[-1], list):
+            self._show(b"".join(p for p in st[-1] if isinstance(p, bytes)))
+
+    def _BT(self, st: list) -> None:
+        self.tx = self.ty = self.lx = 0.0
+
+    def _cm(self, st: list) -> None:
+        if len(st) >= 6:
+            self.cm = tuple(_num(v) for v in st[-6:])
+
+    def _q(self, st: list) -> None:
+        self.cm_stack.append(self.cm)
+
+    def _Q(self, st: list) -> None:
+        if self.cm_stack:
+            self.cm = self.cm_stack.pop()
+
+    def _re(self, st: list) -> None:
+        if len(st) >= 4:
+            self.path_rects.append(
+                (_num(st[-4]), _num(st[-3]), _num(st[-2]), _num(st[-1])))
+
+    def _m(self, st: list) -> None:
+        if len(st) >= 2:
+            self.cur_pt = (_num(st[-2]), _num(st[-1]))
+
+    def _l(self, st: list) -> None:
+        if len(st) >= 2:
+            pt = (_num(st[-2]), _num(st[-1]))
             if self.cur_pt is not None:
-                self.path_segs.append((self.cur_pt[0], self.cur_pt[1], num(-2), num(-1)))
-            self.cur_pt = (num(-2), num(-1))
-        elif op in ("S", "s", "f", "F", "f*", "B", "B*", "b", "b*"):
-            self._commit_path(stroke=True)
-        elif op == "n":
-            self.path_rects.clear()
-            self.path_segs.clear()
-            self.cur_pt = None
-        elif op == "Do":
-            a, _b, _c, d, e, f = self.cm
-            xname = stack[-1] if stack and isinstance(stack[-1], str) else ""
-            self.figs.append(
-                _FigItem(self.page, _mu(e), _mu(f + abs(d)), self.seq, xname)
-            )
-            self.seq += 1
-        # all other operators (color, line width, fonts resources): no-op
+                self.path_segs.append(self.cur_pt + pt)
+            self.cur_pt = pt
+
+    def _paint(self, st: list) -> None:
+        self._commit_path(stroke=True)
+
+    def _n(self, st: list) -> None:
+        self.path_rects.clear()
+        self.path_segs.clear()
+        self.cur_pt = None
+
+    def _Do(self, st: list) -> None:
+        _a, _b, _c, d, e, f = self.cm
+        xname = st[-1] if st and isinstance(st[-1], str) else ""
+        self.figs.append(
+            _FigItem(self.page, _mu(e), _mu(f + abs(d)), self.seq, xname)
+        )
+        self.seq += 1
+
+
+def _num(v) -> float:
+    """A numeric operand (anything else reads as 0)."""
+    return float(v) if isinstance(v, (int, float)) else 0.0
+
+
+_C = _ContentInterp
+_OPS = {
+    b"Tf": _C._Tf, b"TL": _C._TL, b"Td": _C._Td, b"TD": _C._TD,
+    b"Tm": _C._Tm, b"T*": _C._Tstar, b"Tj": _C._Tj, b"'": _C._quote,
+    b'"': _C._dquote, b"TJ": _C._TJ, b"BT": _C._BT, b"cm": _C._cm,
+    b"q": _C._q, b"Q": _C._Q, b"re": _C._re, b"m": _C._m, b"l": _C._l,
+    b"n": _C._n, b"Do": _C._Do,
+    **dict.fromkeys((b"S", b"s", b"f", b"F", b"f*", b"B", b"B*", b"b",
+                     b"b*"), _C._paint),
+}
+del _C
 
 
 # ---------------------------------------------------------- layout → blocks
@@ -1036,12 +1138,14 @@ def _page_blocks(interp: _ContentInterp, cfg: ExtractConfig) -> list[Block]:
     tol = cfg.pdf_line_tol_milli
     tables = _detect_tables(interp.geom)
     table_items: list[_TextItem] = []
-    flow_items: list[_TextItem] = []
-    for it in interp.items:
-        if any(_in_bbox(it, t[0]) for t in tables):
-            table_items.append(it)
-        else:
-            flow_items.append(it)
+    flow_items: list[_TextItem] = interp.items
+    if tables:
+        flow_items = []
+        for it in interp.items:
+            if any(_in_bbox(it, t[0]) for t in tables):
+                table_items.append(it)
+            else:
+                flow_items.append(it)
 
     # heading threshold: median body size (integer milli-units)
     sizes = sorted(it.size for it in flow_items)
@@ -1052,17 +1156,22 @@ def _page_blocks(interp: _ContentInterp, cfg: ExtractConfig) -> list[Block]:
 
     # column-major segmentation over raw items, then per-column lines
     bands = _split_column_items(flow_items, cfg.pdf_column_gap_milli)
-    band_lines = [_cluster_lines(b, tol) for b in bands]
+    # each line as (text, largest size, y, shown only in math faces)
+    band_lines = [
+        [(" ".join([it.text for it in ln]).strip(),
+          max([it.size for it in ln]), ln[0].y, all([it.math for it in ln]))
+         for ln in _cluster_lines(b, tol)]
+        for b in bands]
 
     # heading level = rank of distinct heading sizes on this page (1 = largest)
     head_sizes = sorted(
-        {max(it.size for it in ln) for lines in band_lines for ln in lines
-         if ln and is_heading_size(max(it.size for it in ln))},
+        {size for lines in band_lines for _t, size, _y, _m in lines
+         if is_heading_size(size)},
         reverse=True,
     )
     size_to_level = {s: min(i + 1, 6) for i, s in enumerate(head_sizes)}
 
-    def lines_to_blocks(lns: list[list[_TextItem]]) -> list[tuple[int, Block]]:
+    def lines_to_blocks(lns: list[tuple]) -> list[tuple[int, Block]]:
         """Merge consecutive same-size lines into paragraphs; larger
         fonts become headings. Returns (y_anchor, Block) pairs."""
         out: list[tuple[int, Block]] = []
@@ -1077,13 +1186,10 @@ def _page_blocks(interp: _ContentInterp, cfg: ExtractConfig) -> list[Block]:
                 out.append((para_y, Block("para", " ".join(para).strip(), page)))
                 para = []
 
-        for ln in lns:
-            text = " ".join(it.text for it in ln).strip()
+        for text, lsize, y, math in lns:
             if not text:
                 continue
-            lsize = max(it.size for it in ln)
-            y = ln[0].y
-            if all(it.math for it in ln):
+            if math:
                 # a line shown ENTIRELY in math faces is a formula
                 # region (display math; mixed lines stay paragraphs —
                 # inline math shares its line with text)
@@ -1143,7 +1249,7 @@ def _image_xobject_bytes(doc: _PdfDoc, num: int) -> bytes | None:
         filters = filt if isinstance(filt, list) else ([filt] if filt else [])
         if any(f in ("DCTDecode", "JPXDecode") for f in filters):
             return data
-        return doc.get_stream(num)
+        return doc._unfilter(sdict, data)
     except (PdfError, ValueError):
         return None
 
@@ -1174,20 +1280,19 @@ def extract_pdf(raw: bytes, cfg: ExtractConfig = DEFAULT_CONFIG) -> ExtractResul
         pages = doc.pages()
         blocks: list[Block] = []
         images: list[dict] = []
+        image_bytes: dict[int, bytes | None] = {}  # XObject num -> payload
         seq_base = 0
         for pidx, pdict in enumerate(pages):
-            contents = doc.resolve(pdict.get("Contents"))
-            datas: list[bytes] = []
-            if isinstance(contents, list):
-                for c in contents:
-                    c = doc.resolve(c)  # noqa: PLW2901
-                    # stream objects resolve to their dicts; fetch via ref num
-                # list form: fetch each referenced stream
-                for c in pdict.get("Contents") if isinstance(pdict.get("Contents"), list) else []:
-                    if isinstance(c, _Ref):
-                        datas.append(doc.get_stream(c.num))
-            elif isinstance(pdict.get("Contents"), _Ref):
-                datas.append(doc.get_stream(pdict["Contents"].num))
+            # /Contents is a stream, an array of streams, or a reference
+            # to either
+            contents = pdict.get("Contents")
+            if isinstance(contents, _Ref):
+                target = doc.resolve(contents)
+                if isinstance(target, list):
+                    contents = target
+            parts = contents if isinstance(contents, list) else [contents]
+            datas = [doc.get_stream(c.num) for c in parts
+                     if isinstance(c, _Ref)]
             interp = _ContentInterp(pidx, seq_base,
                                     page_font_cmaps(doc, pdict),
                                     page_math_fonts(doc, pdict))
@@ -1207,7 +1312,10 @@ def extract_pdf(raw: bytes, cfg: ExtractConfig = DEFAULT_CONFIG) -> ExtractResul
                     ref = xobjs.get(fg.xname)
                     if not isinstance(ref, _Ref):
                         continue
-                    data = _image_xobject_bytes(doc, ref.num)
+                    if ref.num not in image_bytes:
+                        image_bytes[ref.num] = _image_xobject_bytes(
+                            doc, ref.num)
+                    data = image_bytes[ref.num]
                     if data is not None:
                         images.append(
                             {"name": f"page{pidx}-fig{i}", "data": data})
@@ -1230,6 +1338,20 @@ def extract_pdf(raw: bytes, cfg: ExtractConfig = DEFAULT_CONFIG) -> ExtractResul
 # lives in sources/corpus.py; round-trip pinned by tests.
 
 
+_LOW8 = (0xFF).__and__
+
+
+def _running_sums(row: bytes, bpp: int) -> bytes:
+    """row[j] += row[j − bpp] mod 256, left to right (PNG Sub, TIFF 2):
+    a prefix sum of each of the bpp interleaved byte lanes."""
+    if bpp == 1:
+        return bytes(map(_LOW8, accumulate(row)))
+    out = bytearray(row)
+    for lane in range(min(bpp, len(row))):
+        out[lane::bpp] = bytes(map(_LOW8, accumulate(row[lane::bpp])))
+    return out
+
+
 def _apply_predictor(data: bytes, parm, doc=None) -> bytes:
     if not isinstance(parm, dict):
         return data
@@ -1248,11 +1370,8 @@ def _apply_predictor(data: bytes, parm, doc=None) -> bytes:
         if bpc != 8:
             raise PdfError("unsupported_pdf_filter",
                            f"TIFF predictor with bpc={bpc}")
-        out = bytearray(data)
-        for r0 in range(0, len(out), rowlen):
-            for i in range(r0 + bpp, min(r0 + rowlen, len(out))):
-                out[i] = (out[i] + out[i - bpp]) & 0xFF
-        return bytes(out)
+        return b"".join(_running_sums(data[r0:r0 + rowlen], bpp)
+                        for r0 in range(0, len(data), rowlen))
     if pred < 10 or pred > 15:
         raise PdfError("unsupported_pdf_filter", f"predictor {pred}")
     out = bytearray()
@@ -1266,8 +1385,7 @@ def _apply_predictor(data: bytes, parm, doc=None) -> bytes:
         if tag == 0:  # None
             pass
         elif tag == 1:  # Sub
-            for j in range(bpp, rl):
-                row[j] = (row[j] + row[j - bpp]) & 0xFF
+            row = _running_sums(row, bpp)
         elif tag == 2:  # Up
             for j in range(rl):
                 row[j] = (row[j] + prev[j]) & 0xFF
@@ -1280,8 +1398,8 @@ def _apply_predictor(data: bytes, parm, doc=None) -> bytes:
                 a = row[j - bpp] if j >= bpp else 0
                 b = prev[j]
                 c = prev[j - bpp] if j >= bpp else 0
-                p = a + b - c
-                da, db, dc = abs(p - a), abs(p - b), abs(p - c)
+                # |p − a|, |p − b|, |p − c| for p = a + b − c
+                da, db, dc = abs(b - c), abs(a - c), abs(a + b - c - c)
                 row[j] = (row[j] + (a if da <= db and da <= dc
                                     else b if db <= dc else c)) & 0xFF
         else:
@@ -1302,47 +1420,54 @@ def _apply_predictor(data: bytes, parm, doc=None) -> bytes:
 # round-trip and fixture tests pin both ends.
 
 
+_A85_BAD_RE = re.compile(rb"[^!-u]")
+_A85_BIAS = 33 * (85 ** 4 + 85 ** 3 + 85 ** 2 + 85 + 1)  # '!' is digit 0
+
+
+def _a85_groups(chars: bytes, out: bytearray) -> None:
+    """Append the 4-byte values of ``chars``, whole 5-digit groups."""
+    it = iter(chars)
+    vals = [((((a * 85 + b) * 85 + c) * 85 + d) * 85 + e) - _A85_BIAS
+            for a, b, c, d, e in zip(it, it, it, it, it)]
+    if vals and max(vals) > 0xFFFFFFFF:
+        raise PdfError("pdf_parse_error", "ASCII85: int too big to convert")
+    out += struct.pack(f">{len(vals)}I", *vals)
+
+
 def ascii85_decode(data: bytes) -> bytes:
     """PDF ASCII85Decode (spec 7.4.3): base-85 groups, ``z`` shorthand
     for four zero bytes, ``~>`` EOD, whitespace ignored; a trailing
     partial group of n chars yields n−1 bytes. PDF data may carry a
-    ``<~`` opener (Adobe convention) — stripped if present."""
+    ``<~`` opener (Adobe convention) — stripped if present. The digits
+    between two ``z`` decode a list of groups at a time; an error is
+    the first one in stream order (a bad byte, a ``z`` inside a group,
+    a group above 2^32 − 1, a lone trailing digit)."""
     body = data.split(b"~>", 1)[0]
     if body.startswith(b"<~"):
         body = body[2:]
+    body = body.translate(None, b" \t\r\n\f\x00")
     out = bytearray()
-    group: list[int] = []
-    try:
-        for c in body:
-            if c in b" \t\r\n\f\x00":
-                continue
-            if c == 0x7A:  # 'z'
-                if group:
-                    raise PdfError("pdf_parse_error",
-                                   "ASCII85: z inside group")
-                out += b"\x00\x00\x00\x00"
-                continue
-            if not 0x21 <= c <= 0x75:
+    runs = body.split(b"z")
+    for ri, run in enumerate(runs):
+        bad = _A85_BAD_RE.search(run)
+        if bad:
+            _a85_groups(run[:bad.start() - bad.start() % 5], out)
+            raise PdfError("pdf_parse_error",
+                           f"ASCII85: bad byte {run[bad.start()]}")
+        full = len(run) - len(run) % 5
+        _a85_groups(run[:full], out)
+        tail = run[full:]
+        if ri < len(runs) - 1:
+            if tail:
                 raise PdfError("pdf_parse_error",
-                               f"ASCII85: bad byte {c}")
-            group.append(c - 0x21)
-            if len(group) == 5:
-                v = 0
-                for d in group:
-                    v = v * 85 + d
-                out += v.to_bytes(4, "big")
-                group = []
-        if group:
-            if len(group) == 1:
+                               "ASCII85: z inside group")
+            out += b"\x00\x00\x00\x00"
+        elif tail:
+            if len(tail) == 1:
                 raise PdfError("pdf_parse_error",
                                "ASCII85: lone trailing char")
-            n = len(group)
-            v = 0
-            for d in group + [84] * (5 - n):
-                v = v * 85 + d
-            out += v.to_bytes(4, "big")[: n - 1]
-    except OverflowError as e:  # group value > 2^32
-        raise PdfError("pdf_parse_error", f"ASCII85: {e}") from e
+            _a85_groups(tail + b"u" * (5 - len(tail)), out)
+            del out[len(tail) - 5:]
     return bytes(out)
 
 
@@ -1376,40 +1501,50 @@ def lzw_decode(data: bytes) -> bytes:
     CLEAR, EOD = 256, 257
     base = [bytes([i]) for i in range(256)] + [b"", b""]
     table = list(base)
+    ntab = len(table)
     codelen = 9
+    mask = (1 << codelen) - 1
     prev: bytes | None = None
-    out = bytearray()
+    out: list[bytes] = []
     bitbuf = 0
     bitcnt = 0
     for b in data:
-        bitbuf = (bitbuf << 8) | b
+        # fewer than codelen ≤ 12 bits are pending, and a byte adds 8:
+        # each byte completes at most one code
+        bitbuf = ((bitbuf & 0x7FF) << 8) | b
         bitcnt += 8
-        while bitcnt >= codelen:
-            code = (bitbuf >> (bitcnt - codelen)) & ((1 << codelen) - 1)
-            bitcnt -= codelen
-            if code == CLEAR:
-                table = list(base)
-                codelen = 9
-                prev = None
-                continue
-            if code == EOD:
-                return bytes(out)
-            if prev is None:
-                if code >= len(table):
-                    raise PdfError("truncated_pdf", "bad LZW start code")
-                entry = table[code]
-            elif code < len(table):
-                entry = table[code]
-                table.append(prev + entry[:1])
-            elif code == len(table):
-                entry = prev + prev[:1]
-                table.append(entry)
-            else:
-                raise PdfError("truncated_pdf", f"bad LZW code {code}")
-            out += entry
-            prev = entry
-            # EarlyChange=1: width grows when the NEXT append would
-            # reach the limit
-            if len(table) + 1 >= (1 << codelen) and codelen < 12:
-                codelen += 1
-    return bytes(out)
+        if bitcnt < codelen:
+            continue
+        bitcnt -= codelen
+        code = (bitbuf >> bitcnt) & mask
+        if code == CLEAR:
+            table = list(base)
+            ntab = len(table)
+            codelen = 9
+            mask = (1 << codelen) - 1
+            prev = None
+            continue
+        if code == EOD:
+            break
+        if prev is None:
+            if code >= ntab:
+                raise PdfError("truncated_pdf", "bad LZW start code")
+            entry = table[code]
+        elif code < ntab:
+            entry = table[code]
+            table.append(prev + entry[:1])
+            ntab += 1
+        elif code == ntab:
+            entry = prev + prev[:1]
+            table.append(entry)
+            ntab += 1
+        else:
+            raise PdfError("truncated_pdf", f"bad LZW code {code}")
+        out.append(entry)
+        prev = entry
+        # EarlyChange=1: width grows when the NEXT append would
+        # reach the limit
+        if ntab >= mask and codelen < 12:
+            codelen += 1
+            mask = (1 << codelen) - 1
+    return b"".join(out)

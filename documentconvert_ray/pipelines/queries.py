@@ -2116,18 +2116,25 @@ def q_big_orders(sf_dir: str):
     wo = orders.map_batches(attach_orders, batch_format="pandas").to_pandas()
     wo_ref = ray.put(wo)  # ≤ survivor-bounded rows (one per big order)
 
+    # typed Arrow output: a customer batch without a big order is an
+    # empty block, and Ray cannot size empty pandas string columns
+    cust_schema = pa.schema([
+        ("c_custkey", pa.int64()), ("c_name", pa.string()),
+        ("o_orderkey", pa.int64()), ("o_orderdate", pa.timestamp("ns")),
+        ("price_c", pa.int64()), ("sum_qty_micro", pa.int64())])
+
     def attach_cust(df):
         w = sim.resolve_broadcast(wo_ref, key="bigorders-cust")
         m = df.merge(w, left_on="c_custkey", right_on="o_custkey",
                      how="inner")
-        return pd.DataFrame({
+        return pa.Table.from_pandas(pd.DataFrame({
             "c_custkey": m["c_custkey"].to_numpy(np.int64),
             "c_name": m["c_name"],
             "o_orderkey": m["o_orderkey"].to_numpy(np.int64),
             "o_orderdate": pd.to_datetime(m["o_orderdate"]),
             "price_c": m["price_c"].to_numpy(np.int64),
             "sum_qty_micro": m["sum_qty_micro"].to_numpy(np.int64),
-        })
+        }), schema=cust_schema, preserve_index=False)
 
     cust = _read(sf_dir, "customer", ["c_custkey", "c_name"])
     out = cust.map_batches(attach_cust, batch_format="pandas").to_pandas()
@@ -11724,6 +11731,15 @@ def _harmonic_distributed(und):
     (HyperBall) are approximations and stay out of the exact op."""
     import pandas as pd
 
+    # the frontier steps and the per-source sums return typed Arrow
+    # tables: many of their groups and batches are empty, and Ray
+    # cannot size empty pandas string columns
+    pair_schema = pa.schema([("src", pa.string()), ("node", pa.string())])
+    reach_schema = pair_schema.append(pa.field("depth", pa.int64()))
+    harm_schema = pa.schema([("domain", pa.string()),
+                             ("n_reached", pa.int64()),
+                             ("harmonic_ppm", pa.int64())])
+
     def sym(df):
         out = pd.DataFrame({
             "node": pd.concat([df["a"], df["b"]], ignore_index=True),
@@ -11735,9 +11751,10 @@ def _harmonic_distributed(und):
     adj = und.map_batches(sym, batch_format="pandas").materialize()
 
     def seed_rows(df):
-        return pd.DataFrame({
+        return pa.Table.from_pandas(pd.DataFrame({
             "src": df["domain"], "node": df["domain"],
-            "depth": np.zeros(len(df), np.int64)})
+            "depth": np.zeros(len(df), np.int64)}),
+            schema=reach_schema, preserve_index=False)
 
     reached = (_degree_ds(und)
                .map_batches(seed_rows, batch_format="pandas")
@@ -11754,12 +11771,12 @@ def _harmonic_distributed(und):
         f = g[g["kind"] == 0]
         a = g[g["kind"] == 1]
         if not len(f) or not len(a):
-            return pd.DataFrame({"src": pd.Series([], dtype=object),
-                                 "node": pd.Series([], dtype=object)})
+            return pair_schema.empty_table()
         m = f[["src", "node"]].merge(a[["node", "nbr"]], on="node")
         out = (m[["src", "nbr"]].drop_duplicates()
                .rename(columns={"nbr": "node"}))
-        return out.reset_index(drop=True)
+        return pa.Table.from_pandas(out, schema=pair_schema,
+                                    preserve_index=False)
 
     for d in range(1, HARMONIC_MAX + 1):
         cand = dd.bucketed_close(frontier, "node", expand,
@@ -11786,7 +11803,8 @@ def _harmonic_distributed(und):
             c = c[np.asarray(keep, bool)] if len(c) else c
             c = c.copy()
             c["depth"] = np.int64(_d)
-            return c.reset_index(drop=True)
+            return pa.Table.from_pandas(c, schema=reach_schema,
+                                        preserve_index=False)
 
         new = dd.bucketed_close(
             cand, ["src", "node"], newonly, partial=tag_cand,
@@ -11805,7 +11823,8 @@ def _harmonic_distributed(und):
             "domain", as_index=False).sum()
         g["n_reached"] = g["n_reached"].astype("int64")
         g["harmonic_ppm"] = g["harmonic_ppm"].astype("int64")
-        return g
+        return pa.Table.from_pandas(g, schema=harm_schema,
+                                    preserve_index=False)
 
     return (
         reached.map_batches(harm_partial, batch_format="pandas")

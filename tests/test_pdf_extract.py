@@ -136,6 +136,24 @@ def test_figure_placeholder():
     assert i_before < i_fig < i_cap
 
 
+def test_contents_as_stream_array_or_indirect_array():
+    """A page's /Contents may be a stream reference, a direct array of
+    stream references, or a reference to such an array: all three
+    shapes extract the same text (the indirect array once yielded
+    an empty page that still counted as ok)."""
+    one = build_pdf("BT /F1 10 Tf 72 700 Td (Hello world) Tj ET")
+    assert b"/Contents 4 0 R" in one
+    shapes = {
+        "stream": one,
+        "array": one.replace(b"/Contents 4 0 R", b"/Contents [4 0 R]"),
+        "indirect array": one.replace(b"/Contents 4 0 R", b"/Contents 6 0 R")
+        .replace(b"trailer", b"6 0 obj\n[4 0 R]\nendobj\ntrailer"),
+    }
+    for shape, pdf in shapes.items():
+        res = extract_pdf(pdf)
+        assert res.ok and res.text_md == "Hello world", (shape, res)
+
+
 def test_string_escapes():
     ops = r"BT /F1 10 Tf 72 700 Td (paren \( close \) back\\ oct \101) Tj ET"
     res = extract_pdf(build_pdf(ops))

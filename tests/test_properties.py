@@ -4,6 +4,8 @@ invariants — randomized depth behind the fixture suite (SURVEY.md
 
 from __future__ import annotations
 
+import re
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -179,3 +181,74 @@ def test_tokens_match_duckdb_split_on_unicode_whitespace():
             "SELECT list_filter(string_split_regex(?, '\\s+'),"
             " x -> x <> '')", [text]).fetchone()[0]
         assert tokens(text) == sql, (text, tokens(text), sql)
+
+
+# the regex the PDF object scan replaced: kept here as its oracle
+_OBJ_RE = re.compile(rb"(\d+)\s+(\d+)\s+obj\b")
+_DIGIT_RUNS = st.sampled_from([b"0", b"7", b"12", b"300"])
+_SPACE_RUNS = st.sampled_from([b" ", b"  ", b"\n", b"\r\n", b"\t", b"\x0b",
+                               b"\x0c", b"\x00"])
+_KEYWORDS = st.sampled_from([b"obj", b"objx", b"obj_", b"obj9", b"obj ",
+                             b"endobj"])
+_OBJ_PIECES = st.one_of(
+    st.tuples(_DIGIT_RUNS, _SPACE_RUNS, _DIGIT_RUNS, _SPACE_RUNS,
+              _KEYWORDS).map(b"".join),  # an object header, or nearly
+    _DIGIT_RUNS, _SPACE_RUNS, _KEYWORDS,
+    st.sampled_from([b"x", b"_", b"/", b"R", b"<<", b"\xff", b"stream"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_OBJ_PIECES, max_size=30))
+def test_obj_headers_equal_regex_scan(pieces):
+    """The keyword-driven object scan finds exactly the matches of
+    ``(\\d+)\\s+(\\d+)\\s+obj\\b`` (spans and numbers) on bytes built
+    from digits, whitespace, ``obj``, ``endobj`` and junk."""
+    from documentconvert_ray.functions.pdf_extract import _obj_headers
+
+    raw = b"".join(pieces)
+    want = [(m.start(), m.end(), int(m.group(1)), int(m.group(2)))
+            for m in _OBJ_RE.finditer(raw)]
+    assert _obj_headers(raw) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([16, 24, 32]).flatmap(
+    lambda n: st.binary(min_size=n, max_size=n)),
+    st.binary(min_size=16, max_size=16),
+    st.integers(0, 6).flatmap(
+        lambda k: st.binary(min_size=16 * k, max_size=16 * k)))
+def test_cbc_decrypt_inverts_encrypt(key, iv, data):
+    """AES-CBC decryption (T-table inverse cipher) undoes encryption
+    for 128-, 192- and 256-bit keys."""
+    from documentconvert_ray.functions.aes import (
+        cbc_decrypt_nopad,
+        cbc_encrypt_nopad,
+    )
+
+    assert cbc_decrypt_nopad(key, iv, cbc_encrypt_nopad(key, iv, data)) \
+        == data
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.binary(max_size=3000))
+def test_stream_filters_round_trip(data):
+    """The generator's LZW, ASCII85 and TIFF-predictor encoders and the
+    kernel's decoders are inverse; RC4 is its own inverse."""
+    from documentconvert_ray.functions.pdf_crypt import rc4
+    from documentconvert_ray.functions.pdf_extract import (
+        _apply_predictor,
+        ascii85_decode,
+        lzw_decode,
+    )
+    from documentconvert_ray.sources.corpus import (
+        _a85_encode,
+        _lzw_encode,
+        _tiff_predict_encode,
+    )
+
+    assert lzw_decode(_lzw_encode(data)) == data
+    assert ascii85_decode(_a85_encode(data)) == data
+    tiff = {"Predictor": 2, "Colors": 1, "BitsPerComponent": 8,
+            "Columns": 64}
+    assert _apply_predictor(_tiff_predict_encode(data, 64), tiff) == data
+    assert rc4(b"k3y!x", rc4(b"k3y!x", data)) == data
