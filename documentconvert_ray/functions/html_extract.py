@@ -101,15 +101,15 @@ class _TreeBuilder(HTMLParser):
             if k not in adict:
                 adict[k] = v if v is not None else ""
         node = Node(tag, adict)
+        # implicit close: p/li/td/th/tr cannot nest within themselves,
+        # so close the open one first and attach to its parent
+        if tag in ("p", "li", "tr", "td", "th", "option"):
+            for i in range(len(self.stack) - 1, 0, -1):
+                if self.stack[i].tag == tag:
+                    del self.stack[i:]
+                    break
         self.stack[-1].children.append(node)
         if tag not in VOID_TAGS:
-            # implicit close: p/li/td/th/tr cannot nest within themselves
-            if tag in ("p", "li", "tr", "td", "th", "option"):
-                for i in range(len(self.stack) - 1, 0, -1):
-                    if self.stack[i].tag == tag:
-                        del self.stack[i:]
-                        self.stack[-1].children.append(node)
-                        break
             self.stack.append(node)
 
     def handle_startendtag(self, tag: str, attrs: list) -> None:

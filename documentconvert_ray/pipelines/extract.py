@@ -668,28 +668,23 @@ def run_extract_job(
         # caller's DataContext and every other Dataset keep Ray's
         # default.
         stats_ds.context.op_resource_reservation_enabled = False
-        partials = stats_ds.to_pandas()  # tiny: one row per (block, shard)
-        if stats_sink is not None:
-            stats_sink(stats_ds.stats())
 
-        folded: dict[int, dict] = {}
-        for r in partials.itertuples(index=False):
-            sid = int(r.shard)
-            a = folded.setdefault(
-                sid,
-                {"rows": 0, "ok": 0, "errors": 0, "out_md_bytes": 0,
-                 "digest": 0, "by_error_kind": {}},
-            )
-            a["rows"] += int(r.rows)
-            a["ok"] += int(r.ok)
-            a["errors"] += int(r.errors)
-            a["out_md_bytes"] += int(r.out_md_bytes)
-            a["digest"] = (a["digest"] + int(r.digest_hex, 16)) % (1 << 256)
-            for k, v in _json.loads(r.by_error_kind).items():
-                a["by_error_kind"][k] = a["by_error_kind"].get(k, 0) + v
+        # Commit each shard as soon as all of its rows are written: one
+        # output row per input row (failures are rows too), so a shard
+        # is complete once its folded partials reach its input's row
+        # count from the parquet footer. A crash later in the job then
+        # keeps every shard committed before it.
+        import pyarrow.parquet as _pq
 
+        in_rows = {}
+        for p, sid in todo.items():
+            fs, local = mf.fs_for(p)
+            in_rows[sid] = _pq.read_metadata(local, filesystem=fs).num_rows
         path_of_shard = {s: p for p, s in shards.items()}
-        for sid, a in sorted(folded.items()):
+        folded: dict[int, dict] = {}
+        committed: set[int] = set()
+
+        def commit(sid: int, a: dict) -> None:
             mf.write_manifest(
                 out_dir,
                 sid,
@@ -704,15 +699,31 @@ def run_extract_job(
                     "by_error_kind": a["by_error_kind"],
                 },
             )
+            committed.add(sid)
+
+        def empty() -> dict:
+            return {"rows": 0, "ok": 0, "errors": 0, "out_md_bytes": 0,
+                    "digest": 0, "by_error_kind": {}}
+
+        # tiny: one row per (block, shard)
+        for r in stats_ds.iter_rows():
+            sid = int(r["shard"])
+            a = folded.setdefault(sid, empty())
+            a["rows"] += int(r["rows"])
+            a["ok"] += int(r["ok"])
+            a["errors"] += int(r["errors"])
+            a["out_md_bytes"] += int(r["out_md_bytes"])
+            a["digest"] = (a["digest"] + int(r["digest_hex"], 16)) % (1 << 256)
+            for k, v in _json.loads(r["by_error_kind"]).items():
+                a["by_error_kind"][k] = a["by_error_kind"].get(k, 0) + v
+            if a["rows"] == in_rows[sid]:
+                commit(sid, a)
+        if stats_sink is not None:
+            stats_sink(stats_ds.stats())
         # shards whose input had zero rows still need a manifest
-        for p, sid in todo.items():
-            if sid not in folded and mf.read_manifest(out_dir, sid) is None:
-                mf.write_manifest(
-                    out_dir, sid,
-                    {"input_file": p, "config_fingerprint": fp, "rows": 0,
-                     "ok": 0, "errors": 0, "out_md_bytes": 0,
-                     "content_digest": f"{0:064x}", "by_error_kind": {}},
-                )
+        for sid in sorted(in_rows):
+            if sid not in committed:
+                commit(sid, folded.get(sid, empty()))
 
     metrics = mf.aggregate_metrics(out_dir, shards)
     metrics["resumed_shards"] = len(done)

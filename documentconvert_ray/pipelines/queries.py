@@ -175,6 +175,19 @@ def _cents_col(series) -> "np.ndarray":
     return np.floor(np.asarray(series, dtype=np.float64) * 100 + 0.5).astype(np.int64)
 
 
+def _sorted_lookup(keys: "np.ndarray", probe: "np.ndarray"):
+    """Membership probe against a SORTED broadcast key array: returns
+    (clamped insertion index, hit mask). The shared kernel behind
+    every broadcast-dimension prune and broadcast attribute attach
+    (T89/T143/T144 idiom). Index a value array as ``vals[idx[hit]]``;
+    with empty keys ``idx`` is all zeros and ``hit`` all False."""
+    idx = np.searchsorted(keys, probe)
+    if len(keys) == 0:
+        return idx, np.zeros(len(probe), bool)
+    idx_c = np.minimum(idx, len(keys) - 1)
+    return idx_c, keys[idx_c] == probe
+
+
 def _knuth32(ids) -> "np.ndarray":
     """(id · 2654435761) mod 2^32, wrap-safe: int64 multiply would
     wrap silently for ids > ~3.4e9 (any multi-billion-row corpus)
@@ -348,24 +361,19 @@ def q_exact_dedup(sf_dir: str):
 
 def q_ngram_top20(sf_dir: str):
     """Top-20 unigrams: per-batch partial counts (combiner) →
-    word-hash-BUCKETED vectorized sum with a per-bucket partial
-    top-20 (each word lives in exactly one bucket, so the global
-    top-20 is a subset of the per-bucket top-20s) → final sort over
-    ≤ 20·buckets rows, deterministic (n desc, word asc)."""
+    word-hash-BUCKETED vectorized sum → ``top_k`` (each word lives in
+    exactly one bucket, so a per-block top-20 inside the reduce task
+    keeps every global winner), deterministic (n desc, word asc)."""
     ds = _read(sf_dir, "documents", ["text"])
 
-    def reduce_top(g):
+    def reduce_sum(g):
         s = g.groupby("word", as_index=False).agg(n=("n", "sum"))
-        s = s.sort_values(["n", "word"], ascending=[False, True],
-                          kind="mergesort").head(20)
         return s.astype({"n": "int64"})
 
-    return (
-        dd.bucketed_close(ds, "word", reduce_top, rows=ds.count(),
-                          rows_per_doc=8, partial=tx.ngram_partial_counts)
-        .sort(["n", "word"], descending=[True, False])
-        .limit(20)
-    )
+    return sim.top_k(
+        dd.bucketed_close(ds, "word", reduce_sum, rows=ds.count(),
+                          rows_per_doc=8, partial=tx.ngram_partial_counts),
+        ["n", "word"], 20, descending=[True, False])
 
 
 def q_ngram_top20_mg(sf_dir: str):
@@ -386,28 +394,21 @@ def q_ngram_top20_mg(sf_dir: str):
 
     def mg_reduce(g):
         s = g.groupby("word", as_index=False).agg(n=("n", "sum"))
-        s = s.sort_values(["n", "word"], ascending=[False, True],
-                          kind="mergesort").head(tx.MG_CANDIDATES)
         return s.astype({"n": "int64"})
 
-    cand = (
+    cand = sim.top_k(
         dd.bucketed_close(ds, "word", mg_reduce, rows=ds.count(),
-                          rows_per_doc=8, partial=tx.mg_partial_counts)
-        .sort(["n", "word"], descending=[True, False])
-        .limit(tx.MG_CANDIDATES)
-    )
-    words = frozenset(r["word"] for r in cand.take(tx.MG_CANDIDATES))
+                          rows_per_doc=8, partial=tx.mg_partial_counts),
+        ["n", "word"], tx.MG_CANDIDATES, descending=[True, False])
+    words = frozenset(cand.column("word").to_pylist())
     words_ref = ray.put(words)
     rescored = ds.map_batches(
         tx.CandidateCountStage(words_ref), batch_format="pyarrow",
         batch_size=256,
     )
-    return (
-        rescored.groupby("word")
-        .aggregate(Sum("n", alias_name="n"))
-        .sort(["n", "word"], descending=[True, False])
-        .limit(20)
-    )
+    return sim.top_k(
+        rescored.groupby("word").aggregate(Sum("n", alias_name="n")),
+        ["n", "word"], 20, descending=[True, False])
 
 
 def q_lang_id(sf_dir: str):
@@ -1190,30 +1191,21 @@ def q_latest_orders(sf_dir: str):
     100 most recent orders, deterministic (o_orderdate DESC,
     o_orderkey ASC tie-break), price in integer cents.
 
-    Partial top-k shape (VERDICT r2 #3): each batch keeps only its own
-    top-100, so the final sort orders ≤ 100·n_blocks rows instead of
-    an all-to-all over the whole orders table."""
+    ``top_k`` (VERDICT r2 #3): each block keeps only its own top-100,
+    so the driver merges ≤ 100·n_blocks rows instead of an all-to-all
+    over the whole orders table."""
     ds = _read(
         sf_dir, "orders",
         ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"],
     )
 
-    def partial_top(df):
-        df = df.assign(
-            neg_key=-df["o_orderkey"].to_numpy(dtype=np.int64),
-            price_c=_cents_col(df["o_totalprice"]),
-        )
-        df = df.sort_values(["o_orderdate", "neg_key"],
-                            ascending=False, kind="mergesort").head(100)
-        return df[["o_orderkey", "o_custkey", "o_orderdate",
-                   "neg_key", "price_c"]]
+    def price(df):
+        return df.assign(price_c=_cents_col(df["o_totalprice"]))[
+            ["o_orderkey", "o_custkey", "o_orderdate", "price_c"]]
 
-    out = (
-        ds.map_batches(partial_top, batch_format="pandas")
-        .sort(["o_orderdate", "neg_key"], descending=True)
-        .limit(100)
-    )
-    return out.select_columns(["o_orderkey", "o_custkey", "o_orderdate", "price_c"])
+    return sim.top_k(ds.map_batches(price, batch_format="pandas"),
+                     ["o_orderdate", "o_orderkey"], 100,
+                     descending=[True, False])
 
 
 def q_filter_regex(sf_dir: str):
@@ -2087,11 +2079,9 @@ def q_big_orders(sf_dir: str):
                 "sum_qty_micro": df["sum_qty_micro"].to_numpy(np.int64),
             })
 
-        return (
-            joined.map_batches(project, batch_format="pandas")
-            .sort(["sum_qty_micro", "o_orderkey"], descending=[True, False])
-            .limit(100)
-        )
+        return sim.top_k(joined.map_batches(project, batch_format="pandas"),
+                         ["sum_qty_micro", "o_orderkey"], 100,
+                         descending=[True, False])
 
     # Broadcast path: the survivor set ships ONCE as a DataFrame and
     # every probe is a vectorized pandas hash merge — no per-row
@@ -2293,23 +2283,18 @@ def q_sample_exact_k(sf_dir: str):
     """Exact-size-k uniform sample (reservoir semantics, made
     deterministic): the k docs with the smallest Knuth-hash values —
     a fixed-size sample whose membership is independent of row order
-    and partitioning, unlike rate-based q_hash_sample. Per-batch
-    partial top-k keeps ≤ k rows per block; the final sort orders
-    ≤ k·n_blocks rows, never the corpus."""
+    and partitioning, unlike rate-based q_hash_sample. ``top_k``
+    keeps ≤ k rows per block; the driver merges ≤ k·n_blocks rows,
+    never the corpus."""
     ds = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
 
-    def partial(df):
-        ids = df["doc_id"].to_numpy(np.int64)
-        df = df.assign(h=_knuth32(ids))
-        return df.sort_values(["h", "doc_id"],
-                              kind="mergesort").head(SAMPLE_K)
+    def hashed(b: pa.Table) -> pa.Table:
+        return b.append_column(
+            "h", pa.array(_knuth32(b.column("doc_id").to_numpy())))
 
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .sort(["h", "doc_id"])
-        .limit(SAMPLE_K)
-        .select_columns(["doc_id", "lang", "n_chars"])
-    )
+    return sim.top_k(ds.map_batches(hashed, batch_format="pyarrow"),
+                     ["h", "doc_id"], SAMPLE_K).select(
+                         ["doc_id", "lang", "n_chars"])
 
 
 def q_user_running_total(sf_dir: str):
@@ -2560,14 +2545,12 @@ def q_user_customer_outer(sf_dir: str):
 
 
 def q_top_customers(sf_dir: str):
-    """Broadcast join (small dim side via ray.put) + grouped rollup +
-    deterministic top-k."""
+    """Grouped rollup + deterministic top-k; the names of the 10
+    winners attach on the driver."""
     cust_df = (
         _read(sf_dir, "customer", ["c_custkey", "c_name"]).to_pandas()
     )
-    names_ref = ray.put(
-        dict(zip(cust_df["c_custkey"].astype(int), cust_df["c_name"]))
-    )
+    names = dict(zip(cust_df["c_custkey"].astype(int), cust_df["c_name"]))
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
 
     def partial(df):
@@ -2590,21 +2573,15 @@ def q_top_customers(sf_dir: str):
     totals = dd.bucketed_close(orders, "o_custkey", combine,
                                rows=len(cust_df), partial=partial,
                                batch_format="pandas")
-    top = totals.sort(["revenue_c", "o_custkey"], descending=[True, False]).limit(10)
-
-    def finish(batch: pa.Table, names_ref=names_ref) -> pa.Table:
-        names = ray.get(names_ref)
-        keys = [int(k) for k in batch.column("o_custkey").to_pylist()]
-        return pa.Table.from_pydict(
-            {
-                "c_custkey": pa.array(keys, pa.int64()),
-                "c_name": pa.array([names.get(k, "") for k in keys], pa.string()),
-                "revenue_c": batch.column("revenue_c"),
-                "n_orders": batch.column("n_orders"),
-            }
-        )
-
-    return top.map_batches(finish, batch_format="pyarrow")
+    top = sim.top_k(totals, ["revenue_c", "o_custkey"], 10,
+                    descending=[True, False])
+    keys = top.column("o_custkey").to_pylist()
+    return pa.table({
+        "c_custkey": pa.array(keys, pa.int64()),
+        "c_name": pa.array([names.get(k, "") for k in keys], pa.string()),
+        "revenue_c": top.column("revenue_c"),
+        "n_orders": top.column("n_orders"),
+    })
 
 
 def q_distinct_users(sf_dir: str):
@@ -2842,10 +2819,10 @@ def q_order_revenue_join(sf_dir: str):
     # survive the join at scale, and the native sort-based aggregate
     # pays per-distinct-key overhead (measured 30× on 100k+ keys —
     # BASELINE.md / q_big_orders). Buckets are o_orderkey-hash, one
-    # vectorized pandas sum + a PARTIAL top-10 per bucket (the
+    # vectorized pandas sum per bucket, then ``top_k``: the
     # (orderkey, date, priority) key is functionally o_orderkey, so a
-    # per-bucket top-10 is a safe prune), then a tiny
-    # ≤ 10×n_buckets-row global sort picks the real top-10.
+    # per-block top-10 is a safe prune, and the driver merge of
+    # ≤ 10×n_blocks rows picks the real top-10.
 
     def partial(df):
         rev = np.floor(
@@ -2861,22 +2838,16 @@ def q_order_revenue_join(sf_dir: str):
         ).agg(revenue_micro=("rev", "sum"))
         return g
 
-    def reduce_topk(g):
-        s = g.groupby(
+    def reduce_sum(g):
+        return g.groupby(
             ["o_orderkey", "o_orderdate", "o_orderpriority"], as_index=False
         ).agg(revenue_micro=("revenue_micro", "sum"))
-        return s.sort_values(
-            ["revenue_micro", "o_orderdate", "o_orderkey"],
-            ascending=[False, True, True], kind="mergesort",
-        ).head(10)
 
-    return (
-        dd.bucketed_close(joined, "o_orderkey", reduce_topk, rows=n_orders,
-                          partial=partial, batch_format="pandas")
-        .sort(["revenue_micro", "o_orderdate", "o_orderkey"],
-              descending=[True, False, False])
-        .limit(10)
-    )
+    return sim.top_k(
+        dd.bucketed_close(joined, "o_orderkey", reduce_sum, rows=n_orders,
+                          partial=partial, batch_format="pandas"),
+        ["revenue_micro", "o_orderdate", "o_orderkey"], 10,
+        descending=[True, False, False])
 
 
 BLOOM_PRIORITY = "1-URGENT"
@@ -3731,9 +3702,7 @@ def q_dedup_keep_best(sf_dir: str):
 
         def clustered_chars(df):
             s = sim.resolve_broadcast(cset_ref, key="keepbest-ids")
-            ids = df["doc_id"].to_numpy(np.int64)
-            pos = np.minimum(np.searchsorted(s, ids), len(s) - 1)
-            m = s[pos] == ids
+            _, m = _sorted_lookup(s, df["doc_id"].to_numpy(np.int64))
             return df.loc[m, ["doc_id", "n_chars"]]
 
         cc = (docs.map_batches(clustered_chars, batch_format="pandas")
@@ -3764,15 +3733,12 @@ def q_dedup_keep_best(sf_dir: str):
 
         ks, vs, kp = sim.resolve_broadcast(state_ref, key="keepbest-state")
         ids = df["doc_id"].to_numpy(np.int64)
-        if len(ks):
-            pos = np.minimum(np.searchsorted(ks, ids), len(ks) - 1)
-            found = ks[pos] == ids
-            # singleton (doc absent from the cluster table): rep=self,
-            # keep=True; else the cluster table's rep + pick
-            rep = np.where(found, vs[pos], ids)
-            keep = np.where(found, kp[pos], True)
-        else:
-            rep, keep = ids, np.ones(len(ids), bool)
+        pos, found = _sorted_lookup(ks, ids)
+        # singleton (doc absent from the cluster table): rep=self,
+        # keep=True; else the cluster table's rep + pick
+        rep, keep = ids.copy(), np.ones(len(ids), bool)
+        rep[found] = vs[pos[found]]
+        keep[found] = kp[pos[found]]
         return pd.DataFrame({
             "doc_id": ids,
             "rep_doc_id": rep,
@@ -4139,9 +4105,9 @@ def q_bigram_pmi(sf_dir: str):
     the support floor ``c ≥ PMI_MIN_PAIRS`` prunes the Zipf tail
     BEFORE the two native hash joins that attach c_x and c_y, so join
     input is the candidate set, not the bigram domain. Scoring is a
-    per-candidate bigint loop (bounded by the support floor), then a
-    per-batch partial top-20 → tiny global sort. The corpus is read
-    once; only (word, word, count) rows ever shuffle."""
+    per-candidate bigint loop (bounded by the support floor), then
+    ``top_k``. The corpus is read once; only (word, word, count) rows
+    ever shuffle."""
     import pandas as pd
     import pyarrow.compute as pc
 
@@ -4201,14 +4167,11 @@ def q_bigram_pmi(sf_dir: str):
             // (n_bi * int(cx) * int(cy))
             for c, cx, cy in zip(df["n_pairs"], df["cx"], df["cy"])
         ]
-        out = pd.DataFrame({
+        return pd.DataFrame({
             "w1": df["w1"], "w2": df["w2"],
             "n_pairs": df["n_pairs"].to_numpy(np.int64),
             "pmi_micro": np.asarray(pmi, np.int64),
         })
-        return out.sort_values(
-            ["pmi_micro", "w1", "w2"], ascending=[False, True, True],
-            kind="mergesort").head(20)
 
     n_vocab = max(1, uni.count())
     if n_vocab <= PMI_BCAST_MAX_VOCAB:
@@ -4248,11 +4211,8 @@ def q_bigram_pmi(sf_dir: str):
         )
         scored = joined.map_batches(score, batch_format="pandas")
 
-    return (
-        scored
-        .sort(["pmi_micro", "w1", "w2"], descending=[True, False, False])
-        .limit(20)
-    )
+    return sim.top_k(scored, ["pmi_micro", "w1", "w2"], 20,
+                     descending=[True, False, False])
 
 
 _SQ_SPLIT = 1 << 30  # hi/lo split base for exact Σx² / Σxy partials
@@ -4724,33 +4684,22 @@ def q_orders_page(sf_dir: str):
     created_at DESC + OFFSET/LIMIT task listing,
     database/database_manager.py:244-245 with the ≤100 limit guard at
     database/models.py:178-179): page 2 of orders by (o_orderdate
-    DESC, o_orderkey ASC). Distributed form: every batch keeps only
-    its own top-(offset+limit) (a page deep in the corpus still only
-    ships offset+limit rows per block), the global sort orders
-    ≤ (offset+limit)·n_blocks rows, and the driver slices the page —
-    OFFSET never scans, it just deepens the per-batch partial k."""
+    DESC, o_orderkey ASC). Distributed form: ``top_k`` keeps only
+    each block's own top-(offset+limit) (a page deep in the corpus
+    still only ships offset+limit rows per block), the driver merges
+    ≤ (offset+limit)·n_blocks rows and slices the page — OFFSET never
+    scans, it just deepens the per-block partial k."""
     ds = _read(sf_dir, "orders",
                ["o_orderkey", "o_orderdate", "o_totalprice"])
-    k = PAGE_OFFSET + PAGE_LIMIT
 
-    def partial_top(df):
-        df = df.assign(
-            neg_key=-df["o_orderkey"].to_numpy(dtype=np.int64),
-            price_c=_cents_col(df["o_totalprice"]),
-        )
-        df = df.sort_values(["o_orderdate", "neg_key"],
-                            ascending=False, kind="mergesort").head(k)
-        return df[["o_orderkey", "o_orderdate", "neg_key", "price_c"]]
+    def price(df):
+        return df.assign(price_c=_cents_col(df["o_totalprice"]))[
+            ["o_orderkey", "o_orderdate", "price_c"]]
 
-    page = (
-        ds.map_batches(partial_top, batch_format="pandas")
-        .sort(["o_orderdate", "neg_key"], descending=True)
-        .limit(k)
-        .to_pandas()  # ≤ offset+limit rows by construction
-        .iloc[PAGE_OFFSET:]
-        .reset_index(drop=True)
-    )
-    return page[["o_orderkey", "o_orderdate", "price_c"]]
+    top = sim.top_k(ds.map_batches(price, batch_format="pandas"),
+                    ["o_orderdate", "o_orderkey"], PAGE_OFFSET + PAGE_LIMIT,
+                    descending=[True, False])
+    return top.to_pandas().iloc[PAGE_OFFSET:].reset_index(drop=True)
 
 
 def q_dense_order_grid(sf_dir: str):
@@ -4945,7 +4894,8 @@ def q_nation_revenue(sf_dir: str):
         df = df.loc[m, ["o_orderkey", "o_custkey"]]
         if cref is not None:
             ck_b, nk_b = sim.resolve_broadcast(cref, key="nrev-cust")
-            idx = np.searchsorted(ck_b, df["o_custkey"].to_numpy(np.int64))
+            idx, _ = _sorted_lookup(
+                ck_b, df["o_custkey"].to_numpy(np.int64))
             return pd.DataFrame(
                 {"o_orderkey": df["o_orderkey"].to_numpy(np.int64),
                  "c_nationkey": nk_b[idx]})
@@ -5041,7 +4991,7 @@ def q_local_supplier_volume(sf_dir: str):
         df = df.loc[m, ["o_orderkey", "o_custkey"]]
         if cref is not None:
             ck, nk = sim.resolve_broadcast(cref, key="lsv-cust")
-            idx = np.searchsorted(ck, df["o_custkey"].to_numpy(np.int64))
+            idx, _ = _sorted_lookup(ck, df["o_custkey"].to_numpy(np.int64))
             return pd.DataFrame(
                 {"o_orderkey": df["o_orderkey"].to_numpy(np.int64),
                  "c_nat": nk[idx]})
@@ -5051,7 +5001,7 @@ def q_local_supplier_volume(sf_dir: str):
 
     def li_map(df):
         sk, snk = sim.resolve_broadcast(sref, key="lsv-supp")
-        idx = np.searchsorted(sk, df["l_suppkey"].to_numpy(np.int64))
+        idx, _ = _sorted_lookup(sk, df["l_suppkey"].to_numpy(np.int64))
         rev = np.floor(
             df["l_extendedprice"].to_numpy(np.float64)
             * (1.0 - df["l_discount"].to_numpy(np.float64))
@@ -5175,7 +5125,7 @@ def q_rare_token_score(sf_dir: str):
     so TOTAL is a cheap aggregate over it instead of a second text
     pass; probe rows are per-(doc, distinct token) int64 triples —
     8-byte md5 hashes, never strings; native hash join → per-doc
-    bucketed sum → per-block partial top-k → tiny final sort.
+    bucketed sum → ``top_k``.
     Overflow margin: score ≤ n_tokens(doc) · TOTAL ≈ 2^62 at 10^13
     corpus tokens × 2^9-token docs — documented int64 edge; the
     oracle computes in HUGEINT and casts."""
@@ -5221,19 +5171,13 @@ def q_rare_token_score(sf_dir: str):
         return pd.DataFrame({"doc_id": u, "rarity_score": sums})
 
     def doc_reduce(g):
-        s = g.groupby("doc_id", as_index=False).agg(
+        return g.groupby("doc_id", as_index=False).agg(
             rarity_score=("rarity_score", "sum"))
-        s["neg_id"] = -s["doc_id"].to_numpy(np.int64)
-        return s.sort_values(["rarity_score", "neg_id"],
-                             ascending=False).head(RARITY_TOP_K)
 
-    out = (
+    return sim.top_k(
         dd.bucketed_close(joined, "doc_id", doc_reduce, rows=n_docs,
-                          partial=score_partial, batch_format="pandas")
-        .sort(["rarity_score", "neg_id"], descending=True)
-        .limit(RARITY_TOP_K)
-    )
-    return out.select_columns(["doc_id", "rarity_score"])
+                          partial=score_partial, batch_format="pandas"),
+        ["rarity_score", "doc_id"], RARITY_TOP_K, descending=[True, False])
 
 
 # --- T92: k-means clustering (iterative; no SQL oracle) --------------
@@ -5788,11 +5732,7 @@ def q_oov_rate(sf_dir: str):
             occ = np.fromiter((c[w] for w in words), np.int64, len(words))
             hs = _gram_hashes_i64(words).view(np.uint64) if words else \
                 np.empty(0, np.uint64)
-            if len(v) and len(hs):
-                pos = np.minimum(np.searchsorted(v, hs), len(v) - 1)
-                hit = v[pos] == hs
-            else:
-                hit = np.zeros(len(hs), bool)
+            _, hit = _sorted_lookup(v, hs)
             ids.append(i)
             n_tok.append(int(occ.sum()))
             n_oov.append(int(occ[~hit].sum()))
@@ -5986,24 +5926,22 @@ def q_bpe_pair_merge(sf_dir: str):
     with Subword Units", §3.1). Per batch: all
     tokens joined into ONE codepoint vector, pair codes formed
     vectorized, one np.unique — no per-token Python. Pair-code-hash
-    bucketed sum with per-bucket partial top-20 (a pair lives in one
-    bucket), final 20-row sort; tie-break (n desc, pair asc) == the
-    int64 code order by construction (see stages/text._PAIR_SHIFT)."""
+    bucketed sum → ``top_k`` (a pair lives in one bucket); tie-break
+    (n desc, pair asc) == the int64 code order by construction (see
+    stages/text._PAIR_SHIFT)."""
     import pandas as pd
 
     ds = _read(sf_dir, "documents", ["text"])
 
-    def reduce_top(g):
+    def reduce_sum(g):
         s = g.groupby("pair_code", as_index=False).agg(n=("n", "sum"))
-        s = s.sort_values(["n", "pair_code"], ascending=[False, True],
-                          kind="mergesort").head(20)
         return s.astype({"pair_code": "int64", "n": "int64"})
 
-    top = dd.bucketed_close(
-        ds, "pair_code", reduce_top, rows=ds.count(), rows_per_doc=8,
-        partial=tx.token_pair_partial_counts).to_pandas()
-    top = top.sort_values(["n", "pair_code"], ascending=[False, True],
-                          kind="mergesort").head(20)
+    top = sim.top_k(
+        dd.bucketed_close(ds, "pair_code", reduce_sum, rows=ds.count(),
+                          rows_per_doc=8,
+                          partial=tx.token_pair_partial_counts),
+        ["n", "pair_code"], 20, descending=[True, False]).to_pandas()
     return pd.DataFrame({
         "pair": [tx.pair_code_to_str(c) for c in top["pair_code"]],
         "n": top["n"].astype("int64").to_numpy()})
@@ -7396,7 +7334,7 @@ def q_q21_waiting_suppliers(sf_dir: str):
     per-bucket reduce merges partials, attaches dates vectorized, and
     applies the both-quantifier predicate, emitting per-supplier
     PARTIAL counts map-side; a second tiny supplier-bucketed exchange
-    sums + partial top-k → final sort. (First draft used a native
+    sums → ``top_k``. (First draft used a native
     hash join + a post-join bucketed reduce: 18.0 s at sf0.1; this
     single-exchange plan measures 10.8 s.)"""
     import pandas as pd
@@ -7438,21 +7376,15 @@ def q_q21_waiting_suppliers(sf_dir: str):
     def supp_reduce(g):
         s = g.groupby("s_suppkey", as_index=False).agg(
             n_waiting=("n_waiting", "sum"))
-        s = s.astype({"s_suppkey": "int64", "n_waiting": "int64"})
-        s["neg_sk"] = -s["s_suppkey"].to_numpy(np.int64)
-        return s.sort_values(["n_waiting", "neg_sk"],
-                             ascending=False).head(Q21_TOP_K)
+        return s.astype({"s_suppkey": "int64", "n_waiting": "int64"})
 
     verdicts = dd.bucketed_close(
         li, "ok", order_verdicts, rows=n_rows, partial=pair_partial,
         union=[(orders, order_rows)], batch_format="pandas")
-    out = (
+    return sim.top_k(
         dd.bucketed_close(verdicts, "s_suppkey", supp_reduce, rows=n_rows,
-                          rows_per_doc=64, floor=8, batch_format="pandas")
-        .sort(["n_waiting", "neg_sk"], descending=True)
-        .limit(Q21_TOP_K)
-    )
-    return out.select_columns(["s_suppkey", "n_waiting"])
+                          rows_per_doc=64, floor=8, batch_format="pandas"),
+        ["n_waiting", "s_suppkey"], Q21_TOP_K, descending=[True, False])
 
 
 # --- T139: interpolated (continuous) grouped quantiles ---------------
@@ -7617,21 +7549,14 @@ def q_nation_trade_volume(sf_dir: str):
 
     def ord_map(df):
         ck, cn = sim.resolve_broadcast(cref, key="ntv-cust")
-        ok = df["o_custkey"].to_numpy(np.int64)
-        idx = np.searchsorted(ck, ok)
-        idx_c = np.minimum(idx, len(ck) - 1) if len(ck) else idx
-        m = len(ck) > 0
-        hit = (ck[idx_c] == ok) if m else np.zeros(len(ok), bool)
+        idx, hit = _sorted_lookup(ck, df["o_custkey"].to_numpy(np.int64))
         return pd.DataFrame(
             {"o_orderkey": df["o_orderkey"].to_numpy(np.int64)[hit],
-             "cust_nat": cn[idx_c][hit]})
+             "cust_nat": cn[idx[hit]]})
 
     def li_map(df):
         sk, sn = sim.resolve_broadcast(sref, key="ntv-supp")
-        lk = df["l_suppkey"].to_numpy(np.int64)
-        idx = np.searchsorted(sk, lk)
-        idx_c = np.minimum(idx, len(sk) - 1) if len(sk) else idx
-        hit = (sk[idx_c] == lk) if len(sk) else np.zeros(len(lk), bool)
+        idx, hit = _sorted_lookup(sk, df["l_suppkey"].to_numpy(np.int64))
         rev = np.floor(
             df["l_extendedprice"].to_numpy(np.float64)
             * (1.0 - df["l_discount"].to_numpy(np.float64))
@@ -7639,7 +7564,7 @@ def q_nation_trade_volume(sf_dir: str):
         yr = df["l_shipdate"].dt.year.to_numpy(np.int64)
         return pd.DataFrame(
             {"l_orderkey": df["l_orderkey"].to_numpy(np.int64)[hit],
-             "supp_nat": sn[idx_c][hit],
+             "supp_nat": sn[idx[hit]],
              "ship_year": yr[hit], "rev_micro": rev[hit]})
 
     ofil = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"]
@@ -7755,11 +7680,8 @@ def q_market_share(sf_dir: str):
         lp = df["l_partkey"].to_numpy(np.int64)
         hit = np.isin(lp, pk)
         df = df[hit]
-        ls = df["l_suppkey"].to_numpy(np.int64)
-        idx = np.searchsorted(sk, ls)
-        idx_c = np.minimum(idx, len(sk) - 1) if len(sk) else idx
-        is_nat = ((sk[idx_c] == ls) & (sn[idx_c] == SHARE_NATION)
-                  if len(sk) else np.zeros(len(ls), bool))
+        idx, is_nat = _sorted_lookup(sk, df["l_suppkey"].to_numpy(np.int64))
+        is_nat[is_nat] = sn[idx[is_nat]] == SHARE_NATION
         rev = np.floor(
             df["l_extendedprice"].to_numpy(np.float64)
             * (1.0 - df["l_discount"].to_numpy(np.float64))
@@ -7812,9 +7734,9 @@ def q_returned_items(sf_dir: str):
     six-month order window. Both join inputs prune map-side (orders to
     the window, lineitem to returnflag='R') before ONE orderkey
     exchange; the per-customer reduce is the repo's bucketed idiom
-    with a per-bucket PARTIAL top-20 (safe: the key is c_custkey, one
-    bucket owns a key entirely), so the final sort sees ≤ 20·buckets
-    rows. The 20 winners' names attach via a map-side filtered
+    followed by ``top_k`` (safe: the key is c_custkey, one bucket owns
+    a key entirely), so the driver merges ≤ 20·blocks rows. The 20
+    winners' names attach via a map-side filtered
     customer read — no customer payload enters any exchange."""
     import pandas as pd
     import pyarrow.compute as pc
@@ -7855,19 +7777,15 @@ def q_returned_items(sf_dir: str):
             revenue_micro=("rev", "sum"))
         return g
 
-    def reduce_topk(g):
-        s = g.groupby("o_custkey", as_index=False).agg(
+    def reduce_sum(g):
+        return g.groupby("o_custkey", as_index=False).agg(
             revenue_micro=("revenue_micro", "sum"))
-        return s.sort_values(
-            ["revenue_micro", "o_custkey"], ascending=[False, True],
-            kind="mergesort").head(20)
 
-    top = dd.bucketed_close(
-        j, "o_custkey", reduce_topk, rows=n_li, partial=partial,
-        batch_format="pandas",
-    ).to_pandas().sort_values(
-        ["revenue_micro", "o_custkey"], ascending=[False, True],
-        kind="mergesort").head(20)
+    top = sim.top_k(
+        dd.bucketed_close(j, "o_custkey", reduce_sum, rows=n_li,
+                          partial=partial, batch_format="pandas"),
+        ["revenue_micro", "o_custkey"], 20,
+        descending=[True, False]).to_pandas()
 
     keys = pa.array(np.sort(top["o_custkey"].to_numpy(np.int64)))
     names = _read(sf_dir, "customer",
@@ -7964,19 +7882,17 @@ def q_bracket_revenue(sf_dir: str):
 
     def partial(df):
         pk, pb, psz = sim.resolve_broadcast(pref, key="bracket-part")
-        lp = df["l_partkey"].to_numpy(np.int64)
-        idx = np.searchsorted(pk, lp)
-        idx_c = np.minimum(idx, len(pk) - 1)
-        hit = pk[idx_c] == lp
-        qty = df["l_quantity"].to_numpy(np.float64)
+        idx, hit = _sorted_lookup(pk, df["l_partkey"].to_numpy(np.int64))
+        idx = idx[hit]
+        qty = df["l_quantity"].to_numpy(np.float64)[hit]
         rev = np.floor(
-            df["l_extendedprice"].to_numpy(np.float64)
-            * (1.0 - df["l_discount"].to_numpy(np.float64))
+            df["l_extendedprice"].to_numpy(np.float64)[hit]
+            * (1.0 - df["l_discount"].to_numpy(np.float64)[hit])
             * 1_000_000 + 0.5).astype(np.int64)
         rows = []
         for bid, brand, slo, shi, qlo, qhi in BRACKETS:
-            m = (hit & (pb[idx_c] == bmap[brand])
-                 & (psz[idx_c] >= slo) & (psz[idx_c] <= shi)
+            m = ((pb[idx] == bmap[brand])
+                 & (psz[idx] >= slo) & (psz[idx] <= shi)
                  & (qty >= qlo) & (qty <= qhi))
             rows.append((bid, int(m.sum()), int(rev[m].sum())))
         return pd.DataFrame(rows, columns=[
@@ -8141,8 +8057,10 @@ def q_kcenter_coreset(sf_dir: str):
 
     refs = ds.map_batches(quant, batch_format="pyarrow") \
         .materialize().to_arrow_refs()
-    ids, cent = sim.smallest_ids(refs, 1)
-    sel = [(0, int(ids[0]), 0)]  # (rnk, vec_id, dist_micro2)
+    first = sim.smallest_ids(refs, 1)
+    cent = sim._qmat(first.column("q"))
+    # (rnk, vec_id, dist_micro2)
+    sel = [(0, first["vec_id"][0].as_py(), 0)]
     for j in range(1, KCENTER_K):
         # max dist, tie min id
         d_, id_, vec = min(sim.pinned_wave(refs, _kcenter_far, cent),
@@ -8194,17 +8112,6 @@ def q_embedding_quantize(sf_dir: str):
 # average, Q15 argmax-vs-global-max, Q22 anti-join + global scalar,
 # Q16 count-distinct with an exclusion list — adapted to the sf schema,
 # which carries no partsupp/shipmode/commitdate columns.)
-
-
-def _sorted_lookup(keys: "np.ndarray", probe: "np.ndarray"):
-    """Membership probe against a SORTED broadcast key array: returns
-    (clamped insertion index, hit mask). The shared kernel behind
-    every broadcast-dimension prune (T89/T143/T144 idiom)."""
-    idx = np.searchsorted(keys, probe)
-    if len(keys) == 0:
-        return idx, np.zeros(len(probe), bool)
-    idx_c = np.minimum(idx, len(keys) - 1)
-    return idx_c, keys[idx_c] == probe
 
 
 CHEAP_PSIZE = 15
@@ -8259,7 +8166,7 @@ def q_cheapest_supplier(sf_dir: str):
     pk = best["p_partkey"].to_numpy(np.int64)
     packed = best["packed"].to_numpy(np.int64)
     sk = packed & ((1 << 20) - 1)
-    bidx = np.searchsorted(p_keys, pk)
+    bidx, _ = _sorted_lookup(p_keys, pk)
     out = pd.DataFrame({
         "p_partkey": pk,
         "p_brand": p_brand[bidx].astype(str),
@@ -9105,9 +9012,7 @@ def q_cluster_reps(sf_dir: str):
     def lengths(df):
         keys = sim.resolve_broadcast(ids_ref, key="creps-ids")
         d = df["doc_id"].to_numpy(np.int64)
-        idx = np.searchsorted(keys, d)
-        idx_c = np.minimum(idx, len(keys) - 1)
-        hit = keys[idx_c] == d
+        _, hit = _sorted_lookup(keys, d)
         return pd.DataFrame({
             "doc_id": d[hit],
             "n_chars": df["text"].str.len().to_numpy(np.int64)[hit]})
@@ -9161,13 +9066,9 @@ def q_nation_year_profit(sf_dir: str):
     def li_map(df):
         pk = sim.resolve_broadcast(pref, key="nyp-part")
         sk, sn = sim.resolve_broadcast(sref, key="nyp-supp")
-        part = df["l_partkey"].to_numpy(np.int64)
-        idx = np.searchsorted(pk, part)
-        idx_c = np.minimum(idx, len(pk) - 1) if len(pk) else idx
-        hit = (pk[idx_c] == part) if len(pk) else np.zeros(
-            len(part), bool)
-        supp = df["l_suppkey"].to_numpy(np.int64)[hit]
-        nat = sn[np.searchsorted(sk, supp)]
+        _, hit = _sorted_lookup(pk, df["l_partkey"].to_numpy(np.int64))
+        sidx, _ = _sorted_lookup(sk, df["l_suppkey"].to_numpy(np.int64)[hit])
+        nat = sn[sidx]
         profit = np.floor(
             df["l_extendedprice"].to_numpy(np.float64)[hit]
             * (1.0 - df["l_discount"].to_numpy(np.float64)[hit])
@@ -9305,11 +9206,7 @@ def q_excess_suppliers(sf_dir: str):
 
     def li_map(df):
         pk = sim.resolve_broadcast(pref, key="exsup-part")
-        part = df["l_partkey"].to_numpy(np.int64)
-        idx = np.searchsorted(pk, part)
-        idx_c = np.minimum(idx, len(pk) - 1) if len(pk) else idx
-        hit = (pk[idx_c] == part) if len(pk) else np.zeros(
-            len(part), bool)
+        _, hit = _sorted_lookup(pk, df["l_partkey"].to_numpy(np.int64))
         qty = np.floor(df["l_quantity"].to_numpy(np.float64)
                        + 0.5).astype(np.int64)
         return pd.DataFrame({
@@ -9358,8 +9255,8 @@ def q_uniform_sample_k(sf_dir: str):
     eval-set / human-review draw every curation pipeline needs,
     without a global shuffle: keep the k smallest md5(doc_id) values
     (a uniform permutation position, reproducible across runs and
-    partitionings). Per-batch partial top-k (k·n_blocks candidate
-    rows reach the driver — never the corpus), final fold + rank.
+    partitionings). ``top_k`` (k·n_blocks candidate rows reach the
+    driver — never the corpus), then the rank.
     The hash is DuckDB's md5_number_upper convention
     (functions/textstats._md5_u64), so the oracle is the same ORDER
     BY hash LIMIT k."""
@@ -9369,20 +9266,12 @@ def q_uniform_sample_k(sf_dir: str):
 
     ds = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
 
-    def partial(b: pa.Table) -> pa.Table:
-        ids = b.column("doc_id").to_numpy()
-        h = np.array([_md5_u64(b"smp:%d" % i) for i in ids.tolist()],
-                     np.uint64)
-        keep = np.lexsort((ids, h))[:SAMPLE_K]
-        return pa.Table.from_pydict({
-            "doc_id": pa.array(ids[keep], pa.int64()),
-            "lang": b.column("lang").take(pa.array(keep)),
-            "n_chars": b.column("n_chars").take(pa.array(keep)),
-            "h": pa.array(h[keep], pa.uint64())})
+    def hashed(b: pa.Table) -> pa.Table:
+        h = [_md5_u64(b"smp:%d" % i) for i in b.column("doc_id").to_pylist()]
+        return b.append_column("h", pa.array(h, pa.uint64()))
 
-    cand = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    cand = cand.sort_values(["h", "doc_id"], kind="mergesort"
-                            ).head(SAMPLE_K)
+    cand = sim.top_k(ds.map_batches(hashed, batch_format="pyarrow"),
+                     ["h", "doc_id"], SAMPLE_K).to_pandas()
     return pd.DataFrame({
         "rnk": np.arange(1, len(cand) + 1, dtype=np.int64),
         "doc_id": cand["doc_id"].astype("int64").to_numpy(),
@@ -9469,8 +9358,8 @@ def q_weighted_sample_k(sf_dir: str):
     (sampling docs ∝ tokens ≈ sampling tokens uniformly). The sort
     key is the SAME IEEE double on both sides (libm-log2 parity
     contract; the float never leaves the ranking — output is integer
-    rank + attributes). Per-batch partial top-k → k·n_blocks fold;
-    no shuffle, corpus streams once."""
+    rank + attributes). ``top_k`` → k·n_blocks driver merge; no
+    shuffle, corpus streams once."""
     import pandas as pd
 
     from ..functions.textstats import _md5_u64
@@ -9482,19 +9371,14 @@ def q_weighted_sample_k(sf_dir: str):
                      np.uint64)
         return (np.log2(h.astype(np.float64) + 1.0) - 64.0) / w
 
-    def partial(b: pa.Table) -> pa.Table:
-        ids = b.column("doc_id").to_numpy()
-        w = b.column("n_chars").to_numpy().astype(np.float64)
-        key = key_of(ids, w)
-        keep = np.lexsort((ids, -key))[:WSAMPLE_K]
-        return pa.Table.from_pydict({
-            "doc_id": pa.array(ids[keep], pa.int64()),
-            "n_chars": b.column("n_chars").take(pa.array(keep)),
-            "key": pa.array(key[keep], pa.float64())})
+    def keyed(b: pa.Table) -> pa.Table:
+        key = key_of(b.column("doc_id").to_numpy(),
+                     b.column("n_chars").to_numpy().astype(np.float64))
+        return b.append_column("key", pa.array(key, pa.float64()))
 
-    cand = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    cand = cand.sort_values(["key", "doc_id"], ascending=[False, True],
-                            kind="mergesort").head(WSAMPLE_K)
+    cand = sim.top_k(ds.map_batches(keyed, batch_format="pyarrow"),
+                     ["key", "doc_id"], WSAMPLE_K,
+                     descending=[True, False]).to_pandas()
     return pd.DataFrame({
         "rnk": np.arange(1, len(cand) + 1, dtype=np.int64),
         "doc_id": cand["doc_id"].astype("int64").to_numpy(),
@@ -9790,10 +9674,7 @@ def q_fk_integrity(sf_dir: str):
     def _bcast_edge(edge, fk_vals):
         keys = sim.resolve_broadcast(dim_refs[edge],
                                      key=f"fk-dim-{edge}")
-        idx = np.searchsorted(keys, fk_vals)
-        idx_c = np.minimum(idx, len(keys) - 1) if len(keys) else idx
-        hit = (keys[idx_c] == fk_vals) if len(keys) else np.zeros(
-            len(fk_vals), bool)
+        _, hit = _sorted_lookup(keys, fk_vals)
         orph = np.unique(fk_vals[~hit])
         return pd.DataFrame({
             "edge": np.int8(edge),

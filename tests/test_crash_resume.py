@@ -52,3 +52,34 @@ def test_sigkill_mid_run_then_resume(tmp_path):
     p2 = _run_cli(corpus, out)
     assert p2.wait(timeout=240) == 0
     assert validate(out) == []
+
+
+def test_failed_task_keeps_committed_shards(ray_session, tmp_path):
+    """One task fails late in the job (a regular file sits where the
+    last shard's data directory goes): every shard whose rows were all
+    written before it keeps its manifest, so the resume redoes only
+    the rest and the output is complete and digest-valid."""
+    import pytest
+
+    from conftest import CORPUS_DIR
+
+    from documentconvert_ray.pipelines.extract import (
+        expand_input_files,
+        run_extract_job,
+    )
+    from documentconvert_ray.state import manifest as mf
+
+    out = str(tmp_path / "out")
+    n = len(expand_input_files(CORPUS_DIR))
+    blocker = mf.shard_data_dir(out, n - 1)
+    os.makedirs(os.path.dirname(blocker))
+    open(blocker, "w").close()
+    with pytest.raises(Exception):
+        run_extract_job(CORPUS_DIR, out)
+
+    os.remove(blocker)
+    m = run_extract_job(CORPUS_DIR, out)
+    assert m["resumed_shards"] >= 1
+    assert m["resumed_shards"] + m["processed_shards"] == n
+    assert m["shards"] == n
+    assert validate(out) == []

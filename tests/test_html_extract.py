@@ -86,7 +86,26 @@ def test_script_style_dropped():
 
 def test_unclosed_tags_recovered():
     out = md("<body><p>First unclosed para<p>Second paragraph here.</body>")
-    assert "First unclosed para" in out and "Second paragraph here." in out
+    assert out == "First unclosed para\n\nSecond paragraph here."
+
+
+def test_implicit_close_attaches_to_one_parent():
+    """An omitted </p>, </li>, </td> or </tr> closes the open element:
+    the next sibling belongs to the parent only, so no element renders
+    its siblings' text and no text is emitted twice."""
+    assert md("<div><p>Alpha paragraph text here.<p>Bravo paragraph "
+              "text here.</div>") == (
+        "Alpha paragraph text here.\n\nBravo paragraph text here.")
+    items = "- First item text\n\n- Second item text\n\n- Third item text"
+    assert md("<body><ul><li>First item text<li>Second item text"
+              "<li>Third item text</ul></body>") == items
+    assert md("<body><ul><li>First item text</li><li>Second item text"
+              "</li><li>Third item text</li></ul></body>") == items
+    table = "|  |  |\n| --- | --- |\n| a1 | b1 |\n| a2 | b2 |"
+    assert md("<body><table><tr><td>a1<td>b1<tr><td>a2<td>b2</table>"
+              "</body>") == table
+    assert md("<body><table><tr><td>a1</td><td>b1</td></tr><tr><td>a2"
+              "</td><td>b2</td></tr></table></body>") == table
 
 
 def test_misnested_inline():

@@ -47,6 +47,39 @@ def test_query_matches_oracle(name, duck, registry, ray_session):
     assert got.equals(exp), f"{name}: value mismatch"
 
 
+# The queries on the registry's top-k combiner, sorted-key probe and
+# min-id seed, checked again under a second block layout: 16 KiB
+# blocks split the map outputs, which changes the grouped exchanges'
+# partition counts and which of their groups come out empty (empty,
+# schema-less blocks that the per-block partials downstream must pass
+# by; q21_waiting_suppliers leaves some at either layout).
+SMALL_BLOCK_QUERIES = (
+    "big_orders bigram_pmi bpe_pair_merge bracket_revenue "
+    "cheapest_supplier cluster_reps dedup_keep_best excess_suppliers "
+    "fk_integrity kcenter_coreset latest_orders local_supplier_volume "
+    "market_share nation_revenue nation_trade_volume nation_year_profit "
+    "ngram_top20 ngram_top20_mg oov_rate order_revenue_join orders_page "
+    "q21_waiting_suppliers rare_token_score returned_items sample_exact_k "
+    "top_customers uniform_sample_k weighted_sample_k").split()
+
+
+@pytest.fixture
+def small_blocks(ray_session):
+    from ray.data import DataContext
+
+    ctx = DataContext.get_current()
+    saved = ctx.target_max_block_size
+    ctx.target_max_block_size = 16 * 1024
+    yield
+    ctx.target_max_block_size = saved
+
+
+@pytest.mark.parametrize("name", SMALL_BLOCK_QUERIES)
+def test_query_matches_oracle_small_blocks(name, duck, registry,
+                                           small_blocks):
+    test_query_matches_oracle(name, duck, registry, None)
+
+
 def test_every_query_has_runnable_entry(registry):
     qs, oracles = registry
     assert set(oracles) <= set(qs)

@@ -1,0 +1,58 @@
+"""The query registry's shared primitives stay the only copies:
+top-k goes through ``stages.similarity.top_k`` (``Dataset.sort(…)
+.limit(k)`` range-partitions its whole input, because Ray's limit
+pushdown stops at a Sort), and a probe against a sorted key array
+goes through ``_sorted_lookup`` (a hand-rolled clamp
+``np.minimum(idx, len(keys) - 1)`` indexes ``keys[-1]`` of an empty
+key array)."""
+
+import ast
+import pathlib
+
+QUERIES = (pathlib.Path(__file__).resolve().parent.parent
+           / "documentconvert_ray" / "pipelines" / "queries.py")
+
+
+def _method_call(node, name: str) -> bool:
+    return (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == name)
+
+
+def _sort_limit_chains(tree: ast.AST) -> list[int]:
+    return [n.lineno for n in ast.walk(tree)
+            if _method_call(n, "limit") and _method_call(n.func.value, "sort")]
+
+
+def _len_minus_one_clamps(tree: ast.AST) -> list[int]:
+    skip = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name == "_sorted_lookup":
+            skip.update(range(fn.lineno, fn.end_lineno + 1))
+    return sorted(
+        n.lineno for n in ast.walk(tree)
+        if _method_call(n, "minimum") and n.lineno not in skip and any(
+            isinstance(a, ast.BinOp) and isinstance(a.op, ast.Sub)
+            and isinstance(a.left, ast.Call)
+            and getattr(a.left.func, "id", None) == "len"
+            for a in n.args))
+
+
+def test_detectors_see_the_idioms():
+    tree = ast.parse(
+        "def q(ds, keys, probe):\n"
+        "    top = ds.sort(['n', 'w'], descending=[True, False]).limit(20)\n"
+        "    idx = np.searchsorted(keys, probe)\n"
+        "    return top, np.minimum(idx, len(keys) - 1)\n")
+    assert _sort_limit_chains(tree) == [2]
+    assert _len_minus_one_clamps(tree) == [4]
+
+
+def test_no_sort_limit_chain_in_queries():
+    tree = ast.parse(QUERIES.read_text(encoding="utf-8"))
+    assert _sort_limit_chains(tree) == []
+
+
+def test_no_hand_rolled_sorted_lookup_in_queries():
+    tree = ast.parse(QUERIES.read_text(encoding="utf-8"))
+    assert _len_minus_one_clamps(tree) == []
