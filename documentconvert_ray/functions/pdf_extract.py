@@ -772,6 +772,11 @@ def _mu(v: float) -> int:
     return round(v * 1000)  # round() of a float or int is an int
 
 
+# a TJ displacement of at least this many thousandths of an em (0.2 em)
+# is an inter-word space, not kerning
+_TJ_WORD_GAP = 200
+
+
 class _ContentInterp:
     """Executes the supported text/path/XObject operator subset of one
     page's content stream, collecting text items, ruled lines and
@@ -804,6 +809,9 @@ class _ContentInterp:
 
     # -- helpers
     def _show(self, s: bytes) -> None:
+        self._put(self._decode(s))
+
+    def _decode(self, s: bytes) -> str:
         if self.cmap is not None:
             # Type0/CID font: 2-byte codes through the ToUnicode map
             cm = self.cmap
@@ -820,6 +828,9 @@ class _ContentInterp:
                 txt = "".join([get(c, "") for c in codes])
         else:
             txt = s.decode("latin-1")
+        return txt
+
+    def _put(self, txt: str) -> None:
         if txt:
             size = self.size
             adv = 0.5 * size * len(txt)  # 0.5 em/char, deterministic
@@ -968,8 +979,21 @@ class _ContentInterp:
             self._Tj(st)
 
     def _TJ(self, st: list) -> None:
+        # a number n moves the next string by -n/1000 em (ISO 32000
+        # §9.4.3); a large negative n is a word space
         if st and isinstance(st[-1], list):
-            self._show(b"".join(p for p in st[-1] if isinstance(p, bytes)))
+            txt, gap = "", False
+            for p in st[-1]:
+                if isinstance(p, bytes):
+                    s = self._decode(p)
+                    if s:
+                        if gap and txt and not txt.endswith(" "):
+                            txt += " "
+                        txt += s
+                        gap = False
+                elif isinstance(p, (int, float)) and p <= -_TJ_WORD_GAP:
+                    gap = True
+            self._put(txt)
 
     def _BT(self, st: list) -> None:
         self.tx = self.ty = self.lx = 0.0

@@ -79,23 +79,16 @@ def expand_input_files(input_path: str | list[str],
     return sorted(files)
 
 
-def stage_raw_files(input_path: str | list[str], out_dir: str,
-                    files_per_shard: int = 512) -> list[str]:
-    """The reference's ACTUAL input mode — a directory/bucket of raw
-    document files (.pdf/.docx/.doc/.html/…; reference S1/S11/S13,
-    s3_download_service.py:102-209 + batch directory loops M6/M7) —
-    staged into corpus-schema parquet shards that the shard-resumable
-    main job consumes unchanged.
-
-    One streaming Ray Data pass: ``read_binary_files`` (one read task
-    per ``files_per_shard`` documents via ``override_num_blocks`` — no
-    shuffle, payload bytes go straight from reader task to its output
-    shard) → corpus rows (url = file URI; content-type comes from the
-    SNIFFER downstream, never the extension — M1/M9 semantics) →
-    ``write_parquet``. Returns the staged parquet paths."""
-    import datetime as _dt
-
-    paths = expand_input_files(input_path, suffix=None)
+def _stage_files(input_path: str | list[str], out_dir: str, parse,
+                 files_per_task: int = 1, suffixes=None) -> list[str]:
+    """One streaming pass from input files (every file under
+    ``input_path``, or those ending in one of ``suffixes``) to corpus-
+    schema parquet shards: ``read_binary_files`` with one read task per
+    ``files_per_task`` files (no shuffle; payload bytes go straight
+    from reader task to its output shard) → ``parse`` per Arrow batch
+    → ``write_parquet``. Returns the staged parquet paths."""
+    paths = [p for p in expand_input_files(input_path, suffix=None)
+             if suffixes is None or p.endswith(suffixes)]
     if not paths:
         return []
     filesystem = None
@@ -107,8 +100,27 @@ def stage_raw_files(input_path: str | list[str], out_dir: str,
         read_paths,
         filesystem=filesystem,
         include_paths=True,
-        override_num_blocks=max(1, len(read_paths) // files_per_shard),
+        override_num_blocks=max(1, len(read_paths) // files_per_task),
     )
+    os.makedirs(out_dir, exist_ok=True)
+    ds.map_batches(parse, batch_format="pyarrow").write_parquet(out_dir)
+    return expand_input_files(out_dir)
+
+
+def stage_raw_files(input_path: str | list[str], out_dir: str,
+                    files_per_shard: int = 512) -> list[str]:
+    """The reference's ACTUAL input mode — a directory/bucket of raw
+    document files (.pdf/.docx/.doc/.html/…; reference S1/S11/S13,
+    s3_download_service.py:102-209 + batch directory loops M6/M7) —
+    staged into corpus-schema parquet shards that the shard-resumable
+    main job consumes unchanged.
+
+    One streaming pass (``_stage_files``, one read task per
+    ``files_per_shard`` documents) → corpus rows (url = file URI;
+    content-type comes from the SNIFFER downstream, never the
+    extension — M1/M9 semantics). Returns the staged parquet paths."""
+    import datetime as _dt
+
     # staged rows are a pure function of file path+bytes (fixed
     # timestamp): re-staging the same tree is byte-deterministic, so
     # the downstream config-fingerprint resume contract holds
@@ -127,9 +139,8 @@ def stage_raw_files(input_path: str | list[str], out_dir: str,
             "lang": pa.array([""] * n, pa.string()),
         })
 
-    os.makedirs(out_dir, exist_ok=True)
-    ds.map_batches(to_rows, batch_format="pyarrow").write_parquet(out_dir)
-    return expand_input_files(out_dir)
+    return _stage_files(input_path, out_dir, to_rows,
+                        files_per_task=files_per_shard)
 
 
 def stage_warc_files(input_path: str | list[str], out_dir: str) -> list[str]:
@@ -143,25 +154,8 @@ def stage_warc_files(input_path: str | list[str], out_dir: str) -> list[str]:
     sources/warc.py."""
     from ..sources.warc import warc_batch_to_rows
 
-    paths = [p for p in expand_input_files(input_path, suffix=None)
-             if p.endswith((".warc", ".warc.gz"))]
-    if not paths:
-        return []
-    filesystem = None
-    read_paths = paths
-    if mf.is_uri(paths[0]):
-        filesystem, _ = mf.fs_for(paths[0])
-        read_paths = [mf.fs_for(p)[1] for p in paths]
-    ds = ray.data.read_binary_files(
-        read_paths,
-        filesystem=filesystem,
-        include_paths=True,
-        override_num_blocks=len(read_paths),
-    )
-    os.makedirs(out_dir, exist_ok=True)
-    ds.map_batches(warc_batch_to_rows,
-                   batch_format="pyarrow").write_parquet(out_dir)
-    return expand_input_files(out_dir)
+    return _stage_files(input_path, out_dir, warc_batch_to_rows,
+                        suffixes=(".warc", ".warc.gz"))
 
 
 def stage_jsonl_files(input_path: str | list[str], out_dir: str) -> list[str]:
@@ -173,25 +167,8 @@ def stage_jsonl_files(input_path: str | list[str], out_dir: str) -> list[str]:
     skipped not raised. Field contract in sources/jsonl.py."""
     from ..sources.jsonl import jsonl_batch_to_rows
 
-    paths = [p for p in expand_input_files(input_path, suffix=None)
-             if p.endswith((".jsonl", ".jsonl.gz"))]
-    if not paths:
-        return []
-    filesystem = None
-    read_paths = paths
-    if mf.is_uri(paths[0]):
-        filesystem, _ = mf.fs_for(paths[0])
-        read_paths = [mf.fs_for(p)[1] for p in paths]
-    ds = ray.data.read_binary_files(
-        read_paths,
-        filesystem=filesystem,
-        include_paths=True,
-        override_num_blocks=len(read_paths),
-    )
-    os.makedirs(out_dir, exist_ok=True)
-    ds.map_batches(jsonl_batch_to_rows,
-                   batch_format="pyarrow").write_parquet(out_dir)
-    return expand_input_files(out_dir)
+    return _stage_files(input_path, out_dir, jsonl_batch_to_rows,
+                        suffixes=(".jsonl", ".jsonl.gz"))
 
 
 def build_extract_ds(

@@ -51,6 +51,7 @@ from ..sources.corpus import write_corpus
 from ..stages import bloom as bl
 from ..stages import dedup as dd
 from ..stages import similarity as sim
+from ..stages.similarity import _join_parts, _join_remote_args
 from ..stages import text as tx
 from ..stages.extract import OUTPUT_SCHEMA  # noqa: F401 (re-export for tests)
 from ..stages.multimodal import (
@@ -526,8 +527,9 @@ def _prefix_jaccard(sf_dir: str, use_df_order: bool):
                            batch_format="pyarrow", batch_size=256)
             .groupby("sh")
             .aggregate(Sum("df", alias_name="df"))
-        )
-        if dfs.count() <= TFIDF_BCAST_MAX_VOCAB:
+        ).materialize()
+        # a token order, not a join: it reads the lookup join's budget
+        if dfs.size_bytes() <= sim.LOOKUP_BCAST_BYTES:
             dpd = dfs.to_pandas().sort_values("sh", kind="mergesort")
             df_ref = ray.put((dpd["sh"].to_numpy(np.int64),
                               dpd["df"].to_numpy(np.int64)))
@@ -886,10 +888,6 @@ TFIDF_TOPK = 3
 # a term present in > 9/10 of all docs is "hot": excluded from scoring
 # (near-zero idf) and from the exchange (hot-key skew removal)
 TFIDF_HOT_NUM, TFIDF_HOT_DEN = 9, 10
-# vocabulary ≤ this many terms → broadcast the (term → rarity) map and
-# score map-side instead of a token-level hash join (~tens of MB at
-# the gate; the join path stays for open web-scale vocabularies)
-TFIDF_BCAST_MAX_VOCAB = 2_000_000
 
 
 def q_tfidf_top_terms(sf_dir: str):
@@ -903,17 +901,19 @@ def q_tfidf_top_terms(sf_dir: str):
       1. df combiner: per-batch distinct-term doc counts → vocabulary
          groupby (shuffles ≤ one row per (batch, term)). The aggregate
          is materialized ONCE — it is vocabulary-sized, orders of
-         magnitude under the corpus — and feeds both branches below
-         without recomputing the text pass.
+         magnitude under the corpus — and feeds both the hot-term set
+         and the build side without recomputing the text pass.
       2. Hot-term split: terms in > 9/10 of the docs get near-zero
          idf and are EXCLUDED by definition (mirrored in the oracle's
          HAVING). By Zipf that set is a handful of stopwords → it is
          the broadcast small side, and filtering the probe rows
          map-side against it removes the join's hot-key skew: no
          partition ever receives a stopword's token rows.
-      3. (doc_id, term, tf) rows join the (term, rarity) build side on
-         a native hash join; per-doc top-3 runs as a per-batch partial
-         top-k combiner before the final per-doc reduce."""
+      3. (doc_id, term, tf) rows attach the (term, rarity) build side
+         through ``sim.lookup_join``; per-doc top-3 runs as a per-batch
+         partial top-k combiner before the final per-doc reduce."""
+    import pyarrow.compute as pc
+
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     n_docs = docs.count()
 
@@ -940,61 +940,19 @@ def q_tfidf_top_terms(sf_dir: str):
         hot = b.column("df").to_numpy() * TFIDF_HOT_DEN > TFIDF_HOT_NUM * n_docs
         return b.filter(pa.array(hot)).select(["term"])
 
-    n_vocab = df_tbl.count()
+    hot_ref = ray.put(pa.array(
+        [r["term"] for r in df_tbl.map_batches(
+            hot_terms, batch_format="pyarrow").take_all()], pa.string()))
 
-    if n_vocab <= TFIDF_BCAST_MAX_VOCAB:
-        # SMALL-VOCABULARY fast path (size-gated, the
-        # embedding_near_dups precedent): the whole (term → rarity)
-        # map broadcasts once — hot terms simply absent — and scoring
-        # is a map-side pandas .map; no token-level hash join, no
-        # join-actor ramp. The gate keeps the broadcast ≪ worker heap;
-        # a web-scale open vocabulary takes the join path below.
-        rar_tbl = (df_tbl.map_batches(build_side, batch_format="pyarrow")
-                   .to_pandas())
-        rar_ref = ray.put(dict(zip(rar_tbl["term_r"], rar_tbl["rarity"])))
+    def probe_rows(b: pa.Table) -> pa.Table:
+        t = tx.tf_rows_batch(b)
+        hs = sim.resolve_broadcast(hot_ref, key="tfidf-hot")
+        return t.filter(pc.invert(pc.is_in(t.column("term"), value_set=hs)))
 
-        def score_map_side(b: pa.Table):
-            rar = sim.resolve_broadcast(rar_ref, key="tfidf-rarity")
-            t = tx.tf_rows_batch(b)
-            df = t.to_pandas()
-            df["rarity"] = df["term"].map(rar)
-            df = df[df["rarity"].notna()]
-            df["rarity"] = df["rarity"].astype(np.int64)
-            return df
-
-        joined = docs.map_batches(score_map_side, batch_format="pyarrow")
-    else:
-        # repartition to guaranteed-NONEMPTY blocks: Ray's hash-shuffle
-        # join emits no shard for an empty input block, so a join
-        # partition whose build rows all hashed elsewhere would
-        # otherwise arrive schema-less and crash pyarrow's join ("No
-        # match for key field term_r"). Block count is size-derived
-        # from the vocabulary (kept terms ≫ block count by the Zipf
-        # hot-set bound).
-        build = df_tbl.map_batches(
-            build_side, batch_format="pyarrow").repartition(
-            max(1, min(64, -(-n_vocab // 50_000))))
-        hot = frozenset(
-            r["term"]
-            for r in df_tbl.map_batches(hot_terms,
-                                        batch_format="pyarrow").take_all()
-        )
-        hot_ref = ray.put(hot)
-
-        def probe_rows(b: pa.Table) -> pa.Table:
-            hs = sim.resolve_broadcast(hot_ref, key="tfidf-hot")
-            t = tx.tf_rows_batch(b)
-            if hs:
-                mask = [w not in hs for w in t.column("term").to_pylist()]
-                t = t.filter(pa.array(mask))
-            return t
-
-        probe = docs.map_batches(probe_rows, batch_format="pyarrow")
-        n_part = _join_parts(n_docs, rows_per_doc=64)
-        joined = probe.join(
-            build, "inner", n_part, on=("term",), right_on=("term_r",),
-            aggregator_ray_remote_args=_join_remote_args(n_part),
-        )
+    joined = sim.lookup_join(
+        docs.map_batches(probe_rows, batch_format="pyarrow"),
+        df_tbl.map_batches(build_side, batch_format="pyarrow"),
+        "term", "term_r")
 
     def partial_top(df):
         score = df["tf"].to_numpy(np.int64) * df["rarity"].to_numpy(np.int64)
@@ -2276,7 +2234,7 @@ def q_dup_gram_mass(sf_dir: str):
                              partial=partial, batch_format="pandas")
 
 
-SAMPLE_K = 200
+SAMPLE_EXACT_K = 200
 
 
 def q_sample_exact_k(sf_dir: str):
@@ -2293,7 +2251,7 @@ def q_sample_exact_k(sf_dir: str):
             "h", pa.array(_knuth32(b.column("doc_id").to_numpy())))
 
     return sim.top_k(ds.map_batches(hashed, batch_format="pyarrow"),
-                     ["h", "doc_id"], SAMPLE_K).select(
+                     ["h", "doc_id"], SAMPLE_EXACT_K).select(
                          ["doc_id", "lang", "n_chars"])
 
 
@@ -2716,33 +2674,6 @@ def q_distinct_users_hll(sf_dir: str):
 
 
 ORDER_JOIN_CUTOFF = "1996-06-30"
-
-
-def _join_parts(n_rows: int, rows_per_doc: int = 1, cpu_div: int = 2,
-                lo: int = 8) -> int:
-    """Partition count for a native hash join: size-derived
-    (``dd.derive_buckets``), at most the cluster's CPUs // ``cpu_div``
-    and at least ``lo``."""
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    return max(lo, min(dd.derive_buckets(n_rows, rows_per_doc),
-                       cpus // cpu_div))
-
-
-def _join_remote_args(num_partitions: int) -> dict:
-    """Aggregator ray_remote_args for a native hash join. Ray's
-    default reserves up to 50% of cluster CPUs PER JoinOperator's
-    aggregator pool; a pipeline with two chained joins then reserves
-    ~100% and the upstream map tasks starve — a measured DEADLOCK at
-    num_partitions=32 on an 8-CPU node. Cap each pool at 25% of
-    cluster CPUs instead (two concurrent joins reserve ≤ half, the
-    feed stages keep the rest); SPREAD mirrors Ray's default
-    anti-thundering-herd placement on multi-node clusters."""
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    n_aggregators = min(num_partitions, 64)  # Ray's own aggregator cap
-    return {
-        "num_cpus": min(1.0, cpus / (4 * n_aggregators)),
-        "scheduling_strategy": "SPREAD",
-    }
 
 
 def q_order_revenue_join(sf_dir: str):
@@ -4087,7 +4018,6 @@ def q_dataset_mix(sf_dir: str):
 
 
 PMI_MIN_PAIRS = 5  # bigram support floor — the PMI scale lever
-PMI_BCAST_MAX_VOCAB = 2_000_000  # unigram-map broadcast gate (tfidf precedent)
 
 
 def q_bigram_pmi(sf_dir: str):
@@ -4103,7 +4033,7 @@ def q_bigram_pmi(sf_dir: str):
     word); a crc-bucketed vectorized reduce collapses them (vocabulary
     keys — the native per-key aggregate is the measured 30× pitfall);
     the support floor ``c ≥ PMI_MIN_PAIRS`` prunes the Zipf tail
-    BEFORE the two native hash joins that attach c_x and c_y, so join
+    BEFORE the two lookup joins that attach c_x and c_y, so join
     input is the candidate set, not the bigram domain. Scoring is a
     per-candidate bigint loop (bounded by the support floor), then
     ``top_k``. The corpus is read once; only (word, word, count) rows
@@ -4173,44 +4103,13 @@ def q_bigram_pmi(sf_dir: str):
             "pmi_micro": np.asarray(pmi, np.int64),
         })
 
-    n_vocab = max(1, uni.count())
-    if n_vocab <= PMI_BCAST_MAX_VOCAB:
-        # SMALL-VOCABULARY fast path (the tfidf size-gated precedent):
-        # the (word → count) map broadcasts once and c_x/c_y attach
-        # map-side — no hash-join actor ramp for a Heaps-law-bounded
-        # natural-language vocabulary. An open vocabulary (urls,
-        # ids …) exceeds the gate and takes the join path below.
-        uni_pd = uni.to_pandas()
-        uni_ref = ray.put(dict(zip(uni_pd["w1"], uni_pd["c"])))
+    def uni_as(word, count):
+        return uni.map_batches(lambda t: t.rename_columns([word, count]),
+                               batch_format="pyarrow")
 
-        def score_bcast(df):
-            m = sim.resolve_broadcast(uni_ref, key="pmi-uni")
-            df = df.assign(cx=df["w1"].map(m).astype(np.int64),
-                           cy=df["w2"].map(m).astype(np.int64))
-            return score(df)
-
-        scored = cand.map_batches(score_bcast, batch_format="pandas")
-    else:
-        # repartition to guaranteed-nonempty build blocks (the tfidf
-        # join-path hazard: an all-empty build partition arrives
-        # schema-less at pyarrow's hash join)
-        n_blk = max(1, min(64, -(-n_vocab // 50_000)))
-        u1 = uni.map_batches(
-            lambda t: t.rename_columns(["w1", "cx"]),
-            batch_format="pyarrow").repartition(n_blk)
-        u2 = uni.map_batches(
-            lambda t: t.rename_columns(["w2", "cy"]),
-            batch_format="pyarrow").repartition(n_blk)
-        np_j = _join_parts(n_vocab, cpu_div=4, lo=2)
-        joined = cand.join(
-            u1, "inner", np_j, on=("w1",), right_on=("w1",),
-            aggregator_ray_remote_args=_join_remote_args(np_j),
-        ).join(
-            u2, "inner", np_j, on=("w2",), right_on=("w2",),
-            aggregator_ray_remote_args=_join_remote_args(np_j),
-        )
-        scored = joined.map_batches(score, batch_format="pandas")
-
+    joined = sim.lookup_join(sim.lookup_join(cand, uni_as("w1", "cx"), "w1"),
+                             uni_as("w2", "cy"), "w2")
+    scored = joined.map_batches(score, batch_format="pandas")
     return sim.top_k(scored, ["pmi_micro", "w1", "w2"], 20,
                      descending=[True, False, False])
 
@@ -4842,9 +4741,6 @@ def q_label_pair_sim(sf_dir: str):
 
 # --- T89: multi-way dimensional join (TPC-H Q5 shape) ---------------
 
-# above this the custkey→nationkey broadcast stops being small-side
-CUST_BROADCAST_MAX = 2_000_000
-
 # order-date slice for the nation-revenue rollup (one calendar year)
 NATION_REV_LO = "1996-01-01"
 NATION_REV_HI = "1997-01-01"
@@ -4875,33 +4771,16 @@ def q_nation_revenue(sf_dir: str):
     lo = pd.Timestamp(NATION_REV_LO)
     hi = pd.Timestamp(NATION_REV_HI)
 
-    # size-gated dimension broadcast (same plan split as T95): below
-    # the gate the custkey→nationkey map ships once via ray.put and
-    # join 1 disappears; above it, the native hash join below takes
-    # over — identical results either way
-    n_cust = cust.count()
-    if n_cust <= CUST_BROADCAST_MAX:
-        cdf = cust.to_pandas()
-        order_ck = np.argsort(cdf["c_custkey"].to_numpy(np.int64))
-        ck = cdf["c_custkey"].to_numpy(np.int64)[order_ck]
-        nk = cdf["c_nationkey"].to_numpy(np.int64)[order_ck]
-        cref = ray.put((ck, nk))
-    else:
-        cref = None
-
     def ord_filter(df):
         m = (df["o_orderdate"] >= lo) & (df["o_orderdate"] < hi)
-        df = df.loc[m, ["o_orderkey", "o_custkey"]]
-        if cref is not None:
-            ck_b, nk_b = sim.resolve_broadcast(cref, key="nrev-cust")
-            idx, _ = _sorted_lookup(
-                ck_b, df["o_custkey"].to_numpy(np.int64))
-            return pd.DataFrame(
-                {"o_orderkey": df["o_orderkey"].to_numpy(np.int64),
-                 "c_nationkey": nk_b[idx]})
-        return df
+        return df.loc[m, ["o_orderkey", "o_custkey"]]
 
-    ofil = orders.map_batches(ord_filter, batch_format="pandas")
+    # the custkey→nationkey dimension attaches through the lookup join
+    # (broadcast while customer is small), so the one exchange of
+    # orders is the orderkey join below
+    ofil = sim.lookup_join(
+        orders.map_batches(ord_filter, batch_format="pandas"), cust,
+        "o_custkey", "c_custkey").select_columns(["o_orderkey", "c_nationkey"])
 
     def li_partial(df):
         rev = np.floor(
@@ -4918,13 +4797,8 @@ def q_nation_revenue(sf_dir: str):
     lrev = li.map_batches(li_partial, batch_format="pandas")
 
     n_part = _join_parts(orders.count())
-    j1 = ofil if cref is not None else ofil.join(
-        cust, "inner", n_part,
-        on=("o_custkey",), right_on=("c_custkey",),
-        aggregator_ray_remote_args=_join_remote_args(n_part),
-    )
     j2 = lrev.join(
-        j1, "inner", n_part,
+        ofil, "inner", n_part,
         on=("l_orderkey",), right_on=("o_orderkey",),
         aggregator_ray_remote_args=_join_remote_args(n_part),
     )
@@ -4955,8 +4829,8 @@ def q_local_supplier_volume(sf_dir: str):
     """TPC-H Q5 proper — nation_revenue's star join PLUS the local-
     supplier equality (c_nationkey = s_nationkey), the join-attribute
     filter across TWO dimension paths that the star alone lacks.
-    Plan: supplier (fixed small dimension) and the size-gated customer
-    map broadcast once; orders date-filter + custkey→nation map-side;
+    Plan: supplier (fixed small dimension) broadcasts once; orders
+    date-filter, then attach custkey→nation through the lookup join;
     lineitem attaches its supplier nation map-side; ONE big-big hash
     join on the order key; the equality filter and the 25-key rollup
     run in the join's output batches, so the only exchange is the
@@ -4977,27 +4851,13 @@ def q_local_supplier_volume(sf_dir: str):
     sref = ray.put((sdf["s_suppkey"].to_numpy(np.int64)[s_order],
                     sdf["s_nationkey"].to_numpy(np.int64)[s_order]))
 
-    n_cust = cust.count()
-    if n_cust <= CUST_BROADCAST_MAX:
-        cdf = cust.to_pandas()
-        c_order = np.argsort(cdf["c_custkey"].to_numpy(np.int64))
-        cref = ray.put((cdf["c_custkey"].to_numpy(np.int64)[c_order],
-                        cdf["c_nationkey"].to_numpy(np.int64)[c_order]))
-    else:
-        cref = None
-
     def ord_filter(df):
         m = (df["o_orderdate"] >= lo) & (df["o_orderdate"] < hi)
-        df = df.loc[m, ["o_orderkey", "o_custkey"]]
-        if cref is not None:
-            ck, nk = sim.resolve_broadcast(cref, key="lsv-cust")
-            idx, _ = _sorted_lookup(ck, df["o_custkey"].to_numpy(np.int64))
-            return pd.DataFrame(
-                {"o_orderkey": df["o_orderkey"].to_numpy(np.int64),
-                 "c_nat": nk[idx]})
-        return df
+        return df.loc[m, ["o_orderkey", "o_custkey"]]
 
-    ofil = orders.map_batches(ord_filter, batch_format="pandas")
+    ofil = sim.lookup_join(
+        orders.map_batches(ord_filter, batch_format="pandas"), cust,
+        "o_custkey", "c_custkey").select_columns(["o_orderkey", "c_nationkey"])
 
     def li_map(df):
         sk, snk = sim.resolve_broadcast(sref, key="lsv-supp")
@@ -5014,24 +4874,14 @@ def q_local_supplier_volume(sf_dir: str):
     lrev = li.map_batches(li_map, batch_format="pandas")
 
     n_part = _join_parts(orders.count())
-    j1 = ofil if cref is not None else ofil.join(
-        cust, "inner", n_part,
-        on=("o_custkey",), right_on=("c_custkey",),
-        aggregator_ray_remote_args=_join_remote_args(n_part),
-    )
-    if cref is None:
-        j1 = j1.map_batches(
-            lambda df: df.rename(columns={"c_nationkey": "c_nat"})[
-                ["o_orderkey", "c_nat"]],
-            batch_format="pandas")
     j2 = lrev.join(
-        j1, "inner", n_part,
+        ofil, "inner", n_part,
         on=("l_orderkey",), right_on=("o_orderkey",),
         aggregator_ray_remote_args=_join_remote_args(n_part),
     )
 
     def local_partial(df):
-        df = df[df["s_nat"] == df["c_nat"]]
+        df = df[df["s_nat"] == df["c_nationkey"]]
         out = pd.DataFrame({"nationkey": df["s_nat"].to_numpy(np.int64),
                             "revenue_micro":
                                 df["rev_micro"].to_numpy(np.int64)})
@@ -5291,92 +5141,56 @@ def q_cohort_retention(sf_dir: str):
 
 # --- T95: broadcast dimension classify join (TPC-H Q14 shape) --------
 
-# above this the (promo partkey set) broadcast stops being small-side
-PART_BROADCAST_MAX = 2_000_000
-
 
 def q_promo_revenue(sf_dir: str):
     """PROMO revenue share per ship month (TPC-H Q14 shape): lineitem
     ⋈ part classify join, monthly promo/total revenue in exact cents
     + share in ppm.
 
-    Size-gated broadcast: when part fits the gate, only the SORTED
-    PROMO PARTKEY ARRAY broadcasts (ray.put once, np.isin per batch —
-    the classify join costs no shuffle at all and the month rollup is
-    a pure combiner). Above the gate, a native hash join on pruned
-    (l_partkey, month, rev) × (p_partkey, is_promo) projections takes
-    over — plan-only split, identical results. Cents (not micro) keep
-    per-month int64 partials safe at 100 TB; the ppm division happens
-    on the ≤ n_months-row result with Python ints."""
+    The (p_partkey, is_promo) projection attaches to the pruned
+    (l_partkey, month, rev) lineitem rows through the lookup join (a
+    broadcast with no shuffle while part is small), and the month
+    rollup is a pure combiner. Cents (not micro) keep per-month int64
+    partials safe at 100 TB; the ppm division happens on the
+    ≤ n_months-row result with Python ints."""
     import pandas as pd
 
     li = _read(sf_dir, "lineitem",
                ["l_partkey", "l_extendedprice", "l_discount", "l_shipdate"])
     part = _read(sf_dir, "part", ["p_partkey", "p_type"])
-    n_parts = part.count()
 
-    def month_rev(df):
+    def li_proj(df):
         ts = pd.DatetimeIndex(df["l_shipdate"])
-        month = (ts.year.to_numpy() * 100 + ts.month.to_numpy()).astype(
-            np.int64)
         rev = np.floor(
             df["l_extendedprice"].to_numpy(np.float64)
             * (1.0 - df["l_discount"].to_numpy(np.float64))
             * 100 + 0.5
         ).astype(np.int64)
-        return month, rev
+        return pd.DataFrame(
+            {"l_partkey": df["l_partkey"].to_numpy(np.int64),
+             "ship_month": (ts.year.to_numpy() * 100
+                            + ts.month.to_numpy()).astype(np.int64),
+             "rev_c": rev})
 
-    if n_parts <= PART_BROADCAST_MAX:
-        pdf = part.to_pandas()
-        promo = np.sort(
-            pdf.loc[pdf["p_type"] == "PROMO", "p_partkey"]
-            .to_numpy(np.int64))
-        ref = ray.put(promo)
+    def part_proj(df):
+        return pd.DataFrame(
+            {"p_partkey": df["p_partkey"].to_numpy(np.int64),
+             "isp": (df["p_type"] == "PROMO").to_numpy(bool)})
 
-        def partial(df):
-            pk = sim.resolve_broadcast(ref, key="promo-parts")
-            month, rev = month_rev(df)
-            isp = np.isin(df["l_partkey"].to_numpy(np.int64), pk)
-            out = pd.DataFrame({
-                "ship_month": month,
-                "promo_c": np.where(isp, rev, 0),
-                "total_c": rev,
-            })
-            return out.groupby("ship_month", as_index=False).agg(
-                promo_c=("promo_c", "sum"), total_c=("total_c", "sum"))
+    def partial(df):
+        rev = df["rev_c"].to_numpy(np.int64)
+        out = pd.DataFrame({
+            "ship_month": df["ship_month"].to_numpy(np.int64),
+            "promo_c": np.where(df["isp"].to_numpy(bool), rev, 0),
+            "total_c": rev,
+        })
+        return out.groupby("ship_month", as_index=False).agg(
+            promo_c=("promo_c", "sum"), total_c=("total_c", "sum"))
 
-        small = li.map_batches(partial, batch_format="pandas")
-    else:  # hash-join leg: projections only, then the same combiner
-        def li_proj(df):
-            month, rev = month_rev(df)
-            return pd.DataFrame(
-                {"l_partkey": df["l_partkey"].to_numpy(np.int64),
-                 "ship_month": month, "rev_c": rev})
-
-        def part_proj(df):
-            return pd.DataFrame(
-                {"p_partkey": df["p_partkey"].to_numpy(np.int64),
-                 "isp": (df["p_type"] == "PROMO").to_numpy(bool)})
-
-        n_part_j = _join_parts(n_parts)
-        j = li.map_batches(li_proj, batch_format="pandas").join(
-            part.map_batches(part_proj, batch_format="pandas"),
-            "inner", n_part_j,
-            on=("l_partkey",), right_on=("p_partkey",),
-            aggregator_ray_remote_args=_join_remote_args(n_part_j),
-        )
-
-        def partial(df):
-            rev = df["rev_c"].to_numpy(np.int64)
-            out = pd.DataFrame({
-                "ship_month": df["ship_month"].to_numpy(np.int64),
-                "promo_c": np.where(df["isp"].to_numpy(bool), rev, 0),
-                "total_c": rev,
-            })
-            return out.groupby("ship_month", as_index=False).agg(
-                promo_c=("promo_c", "sum"), total_c=("total_c", "sum"))
-
-        small = j.map_batches(partial, batch_format="pandas")
+    small = sim.lookup_join(
+        li.map_batches(li_proj, batch_format="pandas"),
+        part.map_batches(part_proj, batch_format="pandas"),
+        "l_partkey", "p_partkey").map_batches(partial, batch_format="pandas")
 
     agg = (
         small.groupby("ship_month")
@@ -7614,11 +7428,11 @@ SHARE_PTYPE = "PROMO"
 def q_market_share(sf_dir: str):
     """TPC-H Q8 shape — NATION_7's share of PROMO-part revenue sold
     to ASIA-region customers, per order year. Three dimension prunes
-    run map-side off broadcasts (part keys of the chosen type;
-    in-region customer keys, size-gated; supplier→nationkey), so the
-    only exchange is one orderkey join of two heavily-pruned
-    projections; the result space is ≤ order-years, reduced with
-    per-batch partials. share_ppm is exact integer math
+    run map-side (broadcast part keys of the chosen type and
+    supplier→nationkey; in-region customer keys through a left-semi
+    lookup join), so the only exchange is one orderkey join of two
+    heavily-pruned projections; the result space is ≤ order-years,
+    reduced with per-batch partials. share_ppm is exact integer math
     (HUGEINT-mirrorable: nation·10⁶ // total)."""
     import pandas as pd
 
@@ -7644,35 +7458,18 @@ def q_market_share(sf_dir: str):
     cfil = cust.map_batches(
         lambda b: b.loc[b["c_nationkey"].isin(rn), ["c_custkey"]],
         batch_format="pandas")
-    if cust.count() <= CUST_BROADCAST_MAX:
-        cref = ray.put(np.sort(
-            cfil.to_pandas()["c_custkey"].to_numpy(np.int64)))
-    else:
-        cref = None
 
     def ord_map(df):
-        yr = df["o_orderdate"].dt.year.to_numpy(np.int64)
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {"o_orderkey": df["o_orderkey"].to_numpy(np.int64),
              "o_custkey": df["o_custkey"].to_numpy(np.int64),
-             "o_year": yr})
-        if cref is not None:
-            ck = sim.resolve_broadcast(cref, key="ms-cust")
-            hit = np.isin(out["o_custkey"].to_numpy(np.int64), ck,
-                          assume_unique=False)
-            return out.loc[hit, ["o_orderkey", "o_year"]]
-        return out
+             "o_year": df["o_orderdate"].dt.year.to_numpy(np.int64)})
 
-    ofil = _read(sf_dir, "orders",
-                 ["o_orderkey", "o_custkey", "o_orderdate"]
-                 ).map_batches(ord_map, batch_format="pandas")
-    if cref is None:
-        n_c = 16
-        ofil = ofil.join(
-            cfil, "left_semi", n_c,
-            on=("o_custkey",), right_on=("c_custkey",),
-            aggregator_ray_remote_args=_join_remote_args(n_c),
-        ).select_columns(["o_orderkey", "o_year"])
+    ofil = sim.lookup_join(
+        _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"]
+              ).map_batches(ord_map, batch_format="pandas"),
+        cfil, "o_custkey", "c_custkey", how="left_semi",
+    ).select_columns(["o_orderkey", "o_year"])
 
     def li_map(df):
         pk = sim.resolve_broadcast(pref, key="ms-part")
@@ -8835,13 +8632,6 @@ def q_class_balance_plan(sf_dir: str):
 
 # --- T165: bigram language-model NLL quality scoring ------------------
 
-# bigram-model broadcast gate (the tfidf/pmi size-gate precedent):
-# ≤ this many distinct bigrams → the (bigram → nll) map broadcasts
-# once and scoring is map-side; above it, the model stays a Dataset
-# and the probe side hash-joins (the pytest gate patches the constant
-# to pin both paths equal on the same corpus).
-LM_BCAST_MAX_BIGRAMS = 2_000_000
-
 
 def q_bigram_lm_nll(sf_dir: str):
     """Per-document BIGRAM LM scoring — the KenLM-style fluency /
@@ -8855,17 +8645,18 @@ def q_bigram_lm_nll(sf_dir: str):
     sums are order-independent and the DuckDB oracle matches
     bit-for-bit. Every doc bigram exists in the model by construction
     (trained on the same corpus), so MLE needs no smoothing here; a
-    held-out scorer would add it in the dict-build step only.
+    held-out scorer would add it in the model close.
 
     Shape: pass 1 = one corpus scan emitting bigram-count partials →
-    crc-bucketed vectorized reduce (model is Heaps-law vocab-sized;
-    the exchange carries (w1, w2, c) rows only). Left-context totals
-    c(w1·) fold off the SAME materialized counts. Pass 2 re-reads the
-    corpus (the oov_rate build-broadcast-score precedent) and scores
-    map-side against the broadcast (bigram → nll) map; corpora whose
-    bigram domain exceeds the gate instead keep the model distributed
-    and attach nll via one composite-key hash join + a doc-bucketed
-    reduce. Payload text never enters any exchange."""
+    one w1-bucketed vectorized reduce that also folds the left-context
+    totals c(w1·) into each bigram's nll (model is Heaps-law
+    vocab-sized; the exchange carries (w1, w2, c) rows only). Pass 2
+    re-reads the corpus. A model within ``sim.LOOKUP_BCAST_BYTES``
+    broadcasts as one (bigram → nll) dict and each doc sums its
+    tokens' nll map-side; a larger one stays distributed: per-doc
+    (doc_id, w1, w2, k) bigram multiplicities attach nll on the
+    composite key through ``sim.lookup_join`` and a doc-bucketed
+    reduce finishes. Payload text never enters any exchange."""
     import pandas as pd
 
     from ..functions import textstats as ts
@@ -8884,24 +8675,26 @@ def q_bigram_lm_nll(sf_dir: str):
             "w1": [p[0] for p in bi], "w2": [p[1] for p in bi],
             "c": np.asarray([bi[p] for p in bi], np.int64)})
 
-    def reduce_counts(g):
+    # one w1-keyed close holds every bigram of its left words: it sums
+    # the counts, folds c(w1·) and computes each bigram's nll once
+    def model_close(g):
         s = g.groupby(["w1", "w2"], as_index=False).agg(c=("c", "sum"))
-        return s.astype({"c": "int64"})
-
-    counts = dd.bucketed_close(
-        ds, ["w1", "w2"], reduce_counts, rows=n_docs, rows_per_doc=32,
-        partial=bigram_partials, batch_format="pandas",
-    ).materialize()  # vocab-sized; reused as c1 source + model
-    if counts.count() <= LM_BCAST_MAX_BIGRAMS:
-        # SMALL-MODEL fast path: fold c1 and the per-bigram nll on the
-        # driver (vocab-sized), broadcast one dict, score map-side.
-        cpd = counts.to_pandas()
-        c1 = cpd.groupby("w1")["c"].transform("sum").to_numpy(np.int64)
+        c1 = s.groupby("w1")["c"].transform("sum")
         lg = lambda a: np.floor(  # noqa: E731 — shared libm contract
-            np.log2(a.astype(np.float64)) * 1_000_000).astype(np.int64)
-        nll = lg(c1) - lg(cpd["c"].to_numpy(np.int64))
-        model_ref = ray.put(dict(zip(zip(cpd["w1"], cpd["w2"]),
-                                     nll.tolist())))
+            np.log2(a.to_numpy(np.float64)) * 1_000_000).astype(np.int64)
+        s["nll"] = lg(c1) - lg(s["c"])
+        return s[["w1", "w2", "nll"]]
+
+    model = dd.bucketed_close(ds, "w1", model_close, rows=n_docs,
+                              rows_per_doc=32, partial=bigram_partials,
+                              batch_format="pandas").materialize()
+    if model.size_bytes() <= sim.LOOKUP_BCAST_BYTES:
+        # a model within the lookup join's budget scores per token
+        # map-side from one broadcast dict: the lookup join's per-doc
+        # rows would need a doc-keyed exchange (~0.45 s more at sf0.01)
+        mpd = model.to_pandas()
+        model_ref = ray.put(dict(zip(zip(mpd["w1"], mpd["w2"]),
+                                     mpd["nll"].tolist())))
 
         def score(df):
             m = sim.resolve_broadcast(model_ref, key="lm-nll")
@@ -8922,22 +8715,6 @@ def q_bigram_lm_nll(sf_dir: str):
 
         return ds.map_batches(score, batch_format="pandas")
 
-    # OPEN-DOMAIN path: model stays distributed. c1 attaches to the
-    # counts via a w1-bucketed reduce-and-merge, the per-bigram nll is
-    # computed model-side ONCE, the probe (doc bigram multiplicities)
-    # hash-joins on the composite key, and a doc-bucketed reduce
-    # finishes. Exchange: O(model) + O(distinct doc bigrams).
-    def attach_c1(g):
-        s = g.copy()
-        s["c1"] = s.groupby("w1")["c"].transform("sum")
-        lg = lambda a: np.floor(  # noqa: E731
-            np.log2(a.to_numpy(np.float64)) * 1_000_000).astype(np.int64)
-        s["nll"] = lg(s["c1"]) - lg(s["c"])
-        return s[["w1", "w2", "nll"]]
-
-    model = dd.bucketed_close(counts, "w1", attach_c1, rows=n_docs,
-                              rows_per_doc=32)
-
     def probe_rows(df):
         from collections import Counter
 
@@ -8952,10 +8729,8 @@ def q_bigram_lm_nll(sf_dir: str):
             rows, columns=["doc_id", "w1", "w2", "k"]).astype(
             {"doc_id": "int64", "k": "int64"})
 
-    n_part = _join_parts(n_docs, rows_per_doc=32)
-    j = ds.map_batches(probe_rows, batch_format="pandas").join(
-        model, "inner", n_part, on=("w1", "w2"),
-        aggregator_ray_remote_args=_join_remote_args(n_part))
+    j = sim.lookup_join(ds.map_batches(probe_rows, batch_format="pandas"),
+                        model, ["w1", "w2"])
 
     def doc_partial(df):
         out = pd.DataFrame({
@@ -9247,7 +9022,7 @@ def q_excess_suppliers(sf_dir: str):
 
 # --- T170: deterministic uniform sample of exactly k docs -------------
 
-SAMPLE_K = 100
+UNIFORM_SAMPLE_K = 100
 
 
 def q_uniform_sample_k(sf_dir: str):
@@ -9271,7 +9046,7 @@ def q_uniform_sample_k(sf_dir: str):
         return b.append_column("h", pa.array(h, pa.uint64()))
 
     cand = sim.top_k(ds.map_batches(hashed, batch_format="pyarrow"),
-                     ["h", "doc_id"], SAMPLE_K).to_pandas()
+                     ["h", "doc_id"], UNIFORM_SAMPLE_K).to_pandas()
     return pd.DataFrame({
         "rnk": np.arange(1, len(cand) + 1, dtype=np.int64),
         "doc_id": cand["doc_id"].astype("int64").to_numpy(),
@@ -11593,7 +11368,7 @@ HARMONIC_MAX = 12  # BFS depth cap, pinned on both engine + oracle
 # Above this node count the whole-adjacency broadcast flips to the
 # frontier-join BFS (the CC_DRIVER_MAX_PAIRS cutover idiom; tests
 # patch the constant to force the distributed path on tiny graphs).
-HARMONIC_BCAST_MAX_NODES = 2_000_000
+HARMONIC_ADJ_MAX_NODES = 2_000_000
 
 
 def _harmonic_distributed(und):
@@ -11727,7 +11502,7 @@ def q_harmonic_centrality(sf_dir: str):
     small-node-axis bound, same as the PageRank vector) and the
     SOURCE axis is the Dataset — each batch of sources runs a local
     BFS against the broadcast graph, zero shuffle, exchange
-    O(sources + results). Above HARMONIC_BCAST_MAX_NODES nodes
+    O(sources + results). Above HARMONIC_ADJ_MAX_NODES nodes
     the whole-adjacency broadcast flips to
     _harmonic_distributed's frontier-join BFS — same results, nothing
     graph-sized on the driver (r4 verdict fix; the
@@ -11739,7 +11514,7 @@ def q_harmonic_centrality(sf_dir: str):
     # consume the edge Dataset
     und = _und_edges(sf_dir).materialize()
     # O(nodes) probe decides the path BEFORE any driver transfer
-    if _degree_ds(und).count() > HARMONIC_BCAST_MAX_NODES:
+    if _degree_ds(und).count() > HARMONIC_ADJ_MAX_NODES:
         return _harmonic_distributed(und)
     epd = und.to_pandas()  # domain-granular: small axis
     adj: dict[str, set] = {}
@@ -13504,7 +13279,7 @@ ORACLES: dict[str, str] = {
         FROM documents
         ORDER BY (doc_id::HUGEINT * 2654435761) % 4294967296, doc_id
         LIMIT {k}
-    """.format(k=SAMPLE_K),
+    """.format(k=SAMPLE_EXACT_K),
     # gram width constants from stages/text.DUPG_N (one source of
     # truth): slice end = i + N - 1 (DuckDB list slices are 1-based
     # inclusive), range end = len - (N - 2)
@@ -15186,7 +14961,7 @@ ORACLES["uniform_sample_k"] = f"""
            doc_id, lang, n_chars
     FROM documents
     ORDER BY md5_number_upper('smp:' || doc_id::VARCHAR), doc_id
-    LIMIT {SAMPLE_K}
+    LIMIT {UNIFORM_SAMPLE_K}
 """
 
 ORACLES["quality_calibration"] = f"""

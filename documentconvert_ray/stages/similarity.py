@@ -12,13 +12,18 @@
   k-core, BFS hops and k-center in pipelines/queries.py).
 - ``top_k``: per-block partial top-k plus one driver merge, the
   registry's ORDER BY … LIMIT k.
+- ``lookup_join``: attach a dimension's columns to probe rows by key,
+  broadcast map-side when the dimension is small, else a hash join.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
+
+from .dedup import derive_buckets
 
 
 def _mat(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
@@ -142,6 +147,126 @@ def top_k(ds, keys: list[str], k: int, descending=False) -> pa.Table:
     refs = ds.map_batches(_head, fn_args=(order, k), batch_format="pyarrow",
                           batch_size=None).materialize().to_arrow_refs()
     return _merge_heads(ray.get(refs), order, k)
+
+
+# A lookup join attaches a dimension's non-key columns to the probe
+# rows whose key it holds. A dimension whose Arrow bytes fit this
+# budget is small enough to ship to every worker: it is put once and
+# probed per batch, with no exchange. A larger one goes through Ray's
+# hash join. Both plans give the same rows, names and dtypes.
+LOOKUP_BCAST_BYTES = 64 << 20
+
+
+def _join_parts(n_rows: int, rows_per_doc: int = 1, cpu_div: int = 2,
+                lo: int = 8) -> int:
+    """Partition count for a native hash join: size-derived
+    (``derive_buckets``), at most the cluster's CPUs // ``cpu_div``
+    and at least ``lo``."""
+    cpus = int(ray.cluster_resources().get("CPU", 8))
+    return max(lo, min(derive_buckets(n_rows, rows_per_doc),
+                       cpus // cpu_div))
+
+
+def _join_remote_args(num_partitions: int) -> dict:
+    """Aggregator ray_remote_args for a native hash join. Ray's
+    default reserves up to 50% of cluster CPUs PER JoinOperator's
+    aggregator pool; a pipeline with two chained joins then reserves
+    ~100% and the upstream map tasks starve — a measured DEADLOCK at
+    num_partitions=32 on an 8-CPU node. Cap each pool at 25% of
+    cluster CPUs instead (two concurrent joins reserve ≤ half, the
+    feed stages keep the rest); SPREAD mirrors Ray's default
+    anti-thundering-herd placement on multi-node clusters."""
+    cpus = int(ray.cluster_resources().get("CPU", 8))
+    n_aggregators = min(num_partitions, 64)  # Ray's own aggregator cap
+    return {
+        "num_cpus": min(1.0, cpus / (4 * n_aggregators)),
+        "scheduling_strategy": "SPREAD",
+    }
+
+
+def _lookup_key(cols, uniq):
+    """One probe-able key array: the key column itself, or for a
+    composite key a mixed-radix int64 code over each column's distinct
+    dimension values ``uniq`` (null where any part is absent)."""
+    if len(cols) == 1:
+        return cols[0]
+    code = pa.scalar(0, pa.int64())
+    for col, u in zip(cols, uniq):
+        code = pc.add(pc.multiply(code, len(u)),
+                      pc.index_in(col, value_set=u))
+    return code
+
+
+def _attach(batch: pa.Table, ref, on: list[str], how: str) -> pa.Table:
+    # an empty group of a grouped exchange leaves an empty
+    # schema-less block; it has no key column to probe
+    if batch.num_columns == 0:
+        return batch
+    dkey, uniq, vals = resolve_broadcast(ref)
+    row = pc.index_in(_lookup_key([batch.column(c) for c in on], uniq),
+                      value_set=dkey)
+    hit = row.is_valid()
+    out = batch.filter(hit).replace_schema_metadata(None)
+    if how == "inner":
+        for name, col in zip(vals.column_names,
+                             vals.take(row.filter(hit)).columns):
+            out = out.append_column(name, col)
+    return out
+
+
+def _nonempty_blocks(ds):
+    # batching by rows drops the empty schema-less blocks an empty
+    # group of a grouped exchange leaves: the hash join fails on a
+    # partition that holds only those ("No match … for key field")
+    return ds.map_batches(lambda b: b, batch_format="pyarrow",
+                          batch_size=1 << 16)
+
+
+def _as_arrow(block) -> pa.Table:
+    if isinstance(block, pa.Table):
+        return block
+    return pa.Table.from_pandas(block, preserve_index=False)
+
+
+def lookup_join(probe, dim, on, right_on=None, how: str = "inner"):
+    """Rows of ``probe`` whose key ``on`` occurs in ``dim`` under
+    ``right_on`` (default ``on``; a str or a list, composite keys
+    allowed), with ``dim``'s non-key columns attached for
+    ``how="inner"`` and none for ``how="left_semi"``. Returned lazy;
+    row order is unspecified. ``dim``'s keys must be unique for an
+    inner join and its non-key names distinct from ``probe``'s.
+
+    ``dim`` is materialized once. If its Arrow bytes fit
+    ``LOOKUP_BCAST_BYTES`` (an empty one always does) it is put once
+    and every probe batch looks its keys up with ``pc.index_in``;
+    otherwise both sides are re-batched into non-empty blocks and
+    hash-joined."""
+    on = [on] if isinstance(on, str) else list(on)
+    right_on = on if right_on is None else (
+        [right_on] if isinstance(right_on, str) else list(right_on))
+    if how not in ("inner", "left_semi"):
+        raise ValueError(f"lookup_join: unsupported how={how!r}")
+    dim = dim.materialize()
+    n = dim.count()
+    if n and dim.size_bytes() > LOOKUP_BCAST_BYTES:
+        parts = _join_parts(n)
+        return _nonempty_blocks(probe).join(
+            _nonempty_blocks(dim), how, parts,
+            on=tuple(on), right_on=tuple(right_on),
+            aggregator_ray_remote_args=_join_remote_args(parts))
+    tabs = [t for t in map(_as_arrow, ray.get(dim.to_arrow_refs()))
+            if t.num_columns]
+    if not tabs:
+        raise ValueError("lookup_join: dimension has no rows and no schema")
+    tbl = pa.concat_tables(tabs, promote_options="permissive")
+    cols = [tbl.column(c).combine_chunks() for c in right_on]
+    uniq = [pc.unique(c) for c in cols] if len(cols) > 1 else []
+    dkey = _lookup_key(cols, uniq)
+    if how == "inner" and pc.count_distinct(dkey).as_py() < len(dkey):
+        raise ValueError("lookup_join: duplicate dimension keys")
+    ref = ray.put((dkey, uniq, tbl.drop_columns(right_on)))
+    return probe.map_batches(_attach, fn_args=(ref, on, how),
+                             batch_format="pyarrow")
 
 
 class CosineTopKPartial:

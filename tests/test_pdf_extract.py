@@ -94,6 +94,19 @@ def test_tj_array_and_td_relative():
     assert "next line" in res.text_md
 
 
+def test_tj_array_word_gap():
+    """A TJ number of ≤ -200 (0.2 em) is an inter-word space; smaller
+    ones are kerning and join."""
+    ops = ("BT /F1 12 Tf 72 700 Td [(Hello) -300 (world) 40 (!)] TJ ET\n"
+           "BT /F1 12 Tf 72 680 Td [(ker) -199 (ning) -250] TJ ET\n"
+           "BT /F1 12 Tf 72 660 Td [(one ) -500 (space)] TJ ET")
+    res = extract_pdf(build_pdf(ops))
+    assert res.ok
+    assert "Hello world!" in res.text_md
+    assert "kerning" in res.text_md
+    assert "one space" in res.text_md
+
+
 def test_ruled_table():
     ops = "\n".join(
         [

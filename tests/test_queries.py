@@ -54,13 +54,21 @@ def test_query_matches_oracle(name, duck, registry, ray_session):
 # schema-less blocks that the per-block partials downstream must pass
 # by; q21_waiting_suppliers leaves some at either layout).
 SMALL_BLOCK_QUERIES = (
-    "big_orders bigram_pmi bpe_pair_merge bracket_revenue "
+    "big_orders bigram_lm_nll bigram_pmi bpe_pair_merge bracket_revenue "
     "cheapest_supplier cluster_reps dedup_keep_best excess_suppliers "
     "fk_integrity kcenter_coreset latest_orders local_supplier_volume "
     "market_share nation_revenue nation_trade_volume nation_year_profit "
     "ngram_top20 ngram_top20_mg oov_rate order_revenue_join orders_page "
-    "q21_waiting_suppliers rare_token_score returned_items sample_exact_k "
-    "top_customers uniform_sample_k weighted_sample_k").split()
+    "promo_revenue q21_waiting_suppliers rare_token_score returned_items "
+    "sample_exact_k tfidf_top_terms top_customers uniform_sample_k "
+    "weighted_sample_k").split()
+
+# The queries that attach a dimension through
+# ``stages.similarity.lookup_join``, checked again on its hash-join
+# plan: a zero byte budget sends every dimension through it.
+LOOKUP_JOIN_QUERIES = (
+    "bigram_lm_nll bigram_pmi local_supplier_volume market_share "
+    "nation_revenue promo_revenue tfidf_top_terms").split()
 
 
 @pytest.fixture
@@ -78,6 +86,22 @@ def small_blocks(ray_session):
 def test_query_matches_oracle_small_blocks(name, duck, registry,
                                            small_blocks):
     test_query_matches_oracle(name, duck, registry, None)
+
+
+@pytest.mark.parametrize("name", LOOKUP_JOIN_QUERIES)
+def test_query_matches_oracle_lookup_join_path(name, duck, registry,
+                                               monkeypatch):
+    from documentconvert_ray.stages import similarity as sim
+
+    monkeypatch.setattr(sim, "LOOKUP_BCAST_BYTES", 0)
+    test_query_matches_oracle(name, duck, registry, None)
+
+
+def test_sample_exact_k_takes_its_own_k(registry):
+    from documentconvert_ray.pipelines import queries as Q
+
+    assert "LIMIT 200" in registry[1]["sample_exact_k"]
+    assert len(Q.q_sample_exact_k(SF_DIR)) == Q.SAMPLE_EXACT_K == 200
 
 
 def test_every_query_has_runnable_entry(registry):

@@ -105,21 +105,3 @@ def test_dataset_mix_weight_proportions(ray_session):
     # of a weight-5 source precedes first of a weight-1 source
     first_pos = out.groupby(w.to_numpy())["mix_pos"].min()
     assert first_pos.loc[5] < first_pos.loc[1]
-
-
-def test_tfidf_join_path_equals_broadcast_path(ray_session, monkeypatch):
-    """The size-gated broadcast fast path and the distributed join
-    path must produce identical TF-IDF results (gate forced to 0 →
-    join path; sf vocab is tiny so the default takes the broadcast)."""
-    import pandas as pd
-
-    from documentconvert_ray.pipelines import queries as Q
-
-    sf = "/root/testdata/sf0.001"
-    fast = Q.q_tfidf_top_terms(sf).to_pandas()
-    monkeypatch.setattr(Q, "TFIDF_BCAST_MAX_VOCAB", 0)
-    join = Q.q_tfidf_top_terms(sf).to_pandas()
-    key = ["doc_id", "rnk"]
-    fast = fast.sort_values(key).reset_index(drop=True)
-    join = join.sort_values(key).reset_index(drop=True)
-    pd.testing.assert_frame_equal(fast, join, check_like=True)

@@ -279,18 +279,3 @@ def test_dense_grid_zero_fill(ray_session, tmp_path):
     assert (beta["n_orders"] == 0).all() and (beta["sum_cents"] == 0).all()
     a95 = out[(out["n_name"] == "ALPHA") & (out["order_year"] == 1995)]
     assert int(a95["sum_cents"].iloc[0]) == 1000
-
-
-def test_bigram_pmi_join_path_equals_broadcast_path(ray_session,
-                                                    monkeypatch):
-    """The size-gated unigram-broadcast fast path and the distributed
-    two-join path must produce identical PMI results (gate forced to
-    0 → join path; the sf vocabulary is tiny so the default takes the
-    broadcast)."""
-    from documentconvert_ray.pipelines import queries as Q
-
-    sf = "/root/testdata/sf0.001"
-    fast = Q.q_bigram_pmi(sf).to_pandas().reset_index(drop=True)
-    monkeypatch.setattr(Q, "PMI_BCAST_MAX_VOCAB", 0)
-    join = Q.q_bigram_pmi(sf).to_pandas().reset_index(drop=True)
-    pd.testing.assert_frame_equal(fast, join, check_like=True)

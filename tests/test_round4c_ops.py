@@ -50,17 +50,6 @@ def test_kmeans_inertia_descends(ray_session):
         assert b <= a * 1.001
 
 
-def test_promo_revenue_paths_identical(ray_session, monkeypatch):
-    """Broadcast-classify and hash-join legs return identical rows
-    (the size gate is plan-only)."""
-    from documentconvert_ray.pipelines import queries as Q
-
-    broadcast = Q.q_promo_revenue(SF)
-    monkeypatch.setattr(Q, "PART_BROADCAST_MAX", 0)  # force join leg
-    joined = Q.q_promo_revenue(SF)
-    pd.testing.assert_frame_equal(broadcast, joined)
-
-
 def test_median_quantile_disc_semantics(ray_session, tmp_path):
     """Rank select == DuckDB quantile_disc (index ceil(n·q)−1) on
     groups engineered to expose the off-by-one candidates: even n,
@@ -169,14 +158,3 @@ def test_latest_order_tiebreak_lowest_key(ray_session, tmp_path):
     assert len(got) == 1
     assert int(got["o_orderkey"].iloc[0]) == 5
     assert int(got["price_c"].iloc[0]) == 2000
-
-
-def test_nation_revenue_paths_identical(ray_session, monkeypatch):
-    """Customer-broadcast and native-join legs of the star join return
-    identical rows (the size gate is plan-only)."""
-    from documentconvert_ray.pipelines import queries as Q
-
-    broadcast = Q.q_nation_revenue(SF)
-    monkeypatch.setattr(Q, "CUST_BROADCAST_MAX", 0)  # force join leg
-    joined = Q.q_nation_revenue(SF)
-    pd.testing.assert_frame_equal(broadcast, joined)

@@ -34,21 +34,6 @@ def test_nation_trade_volume_vs_duckdb(ray_session):
     assert (got["supp_nation"] != got["cust_nation"]).all()
 
 
-def test_market_share_join_leg_matches_broadcast(ray_session,
-                                                 monkeypatch):
-    """The customer size gate is plan-only: forcing the left_semi join
-    leg returns the identical frame."""
-    from documentconvert_ray.pipelines import queries as Q
-
-    broadcast = Q.q_market_share(SF)
-    monkeypatch.setattr(Q, "CUST_BROADCAST_MAX", 0)
-    joined = Q.q_market_share(SF)
-    pd.testing.assert_frame_equal(broadcast, joined)
-    # share is a proper fraction in ppm and exact integer math
-    assert (broadcast["share_ppm"] <= 1_000_000).all()
-    assert (broadcast["nation_micro"] <= broadcast["total_micro"]).all()
-
-
 def test_returned_items_tie_break_and_bound(ray_session):
     from documentconvert_ray.pipelines import queries as Q
 

@@ -30,20 +30,6 @@ def _canon(df):
     return canon(to_pandas(df))
 
 
-def test_bigram_lm_nll_join_path_equals_broadcast(registry, ray_session,
-                                                  monkeypatch):
-    """LM_BCAST_MAX_BIGRAMS = 0 forces the open-domain model-join path;
-    the same corpus must score identically to the broadcast path."""
-    from documentconvert_ray.pipelines import queries as q
-
-    qs, _ = registry
-    bcast = _canon(qs["bigram_lm_nll"](SF))
-    monkeypatch.setattr(q, "LM_BCAST_MAX_BIGRAMS", 0)
-    joined = _canon(qs["bigram_lm_nll"](SF))
-    assert len(bcast) > 0
-    assert bcast.equals(joined)
-
-
 def test_bigram_lm_nll_matches_bruteforce(registry, ray_session):
     """Independent pandas recompute: MLE bigram counts over the raw
     parquet, per-instance integer log2-micro NLL, per-doc average."""

@@ -34,7 +34,7 @@ def test_harmonic_distributed_equals_broadcast(registry, ray_session,
     from documentconvert_ray.pipelines import queries as q
 
     base = _canon(registry["harmonic_centrality"](SF))
-    monkeypatch.setattr(q, "HARMONIC_BCAST_MAX_NODES", 1)
+    monkeypatch.setattr(q, "HARMONIC_ADJ_MAX_NODES", 1)
     dist = _canon(registry["harmonic_centrality"](SF))
     assert len(base) > 0
     assert base.equals(dist)
@@ -53,7 +53,7 @@ def test_harmonic_distributed_runs_frontier_path(registry, ray_session,
         return orig(und)
 
     monkeypatch.setattr(q, "_harmonic_distributed", spy)
-    monkeypatch.setattr(q, "HARMONIC_BCAST_MAX_NODES", 1)
+    monkeypatch.setattr(q, "HARMONIC_ADJ_MAX_NODES", 1)
     q.q_harmonic_centrality(SF)
     assert called.get("yes")
 
