@@ -1975,13 +1975,11 @@ def q_big_orders(sf_dir: str):
     reduce (key-hash buckets + one vectorized pandas sum per bucket —
     NOT a native per-key aggregate: Ray's sort-based aggregate pays
     per-distinct-key overhead, measured 76 s vs 2.6 s on the 147k
-    orderkeys of sf0.1) → HAVING filter leaves a tiny survivor set BY
-    CONSTRUCTION → the survivors BROADCAST (the textbook Q18 plan;
-    measured 29 s → 9 s vs chaining two native hash joins at sf0.1)
-    and both join legs run map-side over orders then customer; final
-    deterministic (qty DESC, orderkey ASC) top-100 on the ≤bounded
-    driver set. A native hash-join fallback guards the data-dependent
-    rarity assumption above 100k survivors."""
+    orderkeys of sf0.1) → HAVING filter → orders attach their survivor
+    sums and then their customer through ``sim.lookup_join`` (the
+    survivors are rare by construction, so the first lookup is the
+    textbook Q18 broadcast) → deterministic (qty DESC, orderkey ASC)
+    top-100 via ``top_k``."""
     import pandas as pd
 
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
@@ -1999,98 +1997,27 @@ def q_big_orders(sf_dir: str):
 
     survivors = dd.bucketed_close(
         li, "l_orderkey", reduce_having, rows=n_orders, partial=partial,
-        batch_format="pandas",
-    ).materialize()  # tiny by the HAVING bound; also lets the
-    #                  fallback reuse it without re-scanning lineitem
-
-    # Q18's HAVING makes survivors RARE by construction (sum qty ≥ 300
-    # ≈ top fraction of a percent of orders), so the textbook plan is
-    # to broadcast them and keep both "joins" map-side; the native
-    # hash-join fallback guards the data-dependent assumption. The
-    # count decides BEFORE any driver transfer.
-    n_surv = survivors.count()
-    if n_surv > 100_000:
-        n_part = _join_parts(n_orders)
-        orders = _read(
-            sf_dir, "orders",
-            ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"])
-        with_orders = orders.join(
-            survivors.repartition(max(1, n_surv // 100_000)),
-            "inner", n_part,
-            on=("o_orderkey",), right_on=("l_orderkey",),
-            aggregator_ray_remote_args=_join_remote_args(n_part),
-        )
-        cust = _read(sf_dir, "customer", ["c_custkey", "c_name"])
-        joined = cust.join(
-            with_orders.repartition(1), "inner", n_part,
-            on=("c_custkey",), right_on=("o_custkey",),
-            aggregator_ray_remote_args=_join_remote_args(n_part),
-        )
-
-        def project(df):
-            return pd.DataFrame({
-                "c_custkey": df["c_custkey"].to_numpy(np.int64),
-                "c_name": df["c_name"],
-                "o_orderkey": df["o_orderkey"].to_numpy(np.int64),
-                "o_orderdate": df["o_orderdate"],
-                "price_c": _cents_col(df["o_totalprice"]),
-                "sum_qty_micro": df["sum_qty_micro"].to_numpy(np.int64),
-            })
-
-        return sim.top_k(joined.map_batches(project, batch_format="pandas"),
-                         ["sum_qty_micro", "o_orderkey"], 100,
-                         descending=[True, False])
-
-    # Broadcast path: the survivor set ships ONCE as a DataFrame and
-    # every probe is a vectorized pandas hash merge — no per-row
-    # Python membership tests anywhere.
-    surv = survivors.to_pandas()  # ≤ the 100k bound checked above
-    surv = surv.rename(columns={"l_orderkey": "o_orderkey"})
-    surv_ref = ray.put(surv)
-
-    def attach_orders(df):
-        s = sim.resolve_broadcast(surv_ref, key="bigorders-qty")
-        m = df.merge(s, on="o_orderkey", how="inner")
-        return pd.DataFrame({
-            "o_custkey": m["o_custkey"].to_numpy(np.int64),
-            "o_orderkey": m["o_orderkey"].to_numpy(np.int64),
-            "o_orderdate": m["o_orderdate"],
-            "price_c": _cents_col(m["o_totalprice"]),
-            "sum_qty_micro": m["sum_qty_micro"].to_numpy(np.int64),
-        })
-
+        batch_format="pandas")
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"])
-    wo = orders.map_batches(attach_orders, batch_format="pandas").to_pandas()
-    wo_ref = ray.put(wo)  # ≤ survivor-bounded rows (one per big order)
-
-    # typed Arrow output: a customer batch without a big order is an
-    # empty block, and Ray cannot size empty pandas string columns
-    cust_schema = pa.schema([
-        ("c_custkey", pa.int64()), ("c_name", pa.string()),
-        ("o_orderkey", pa.int64()), ("o_orderdate", pa.timestamp("ns")),
-        ("price_c", pa.int64()), ("sum_qty_micro", pa.int64())])
-
-    def attach_cust(df):
-        w = sim.resolve_broadcast(wo_ref, key="bigorders-cust")
-        m = df.merge(w, left_on="c_custkey", right_on="o_custkey",
-                     how="inner")
-        return pa.Table.from_pandas(pd.DataFrame({
-            "c_custkey": m["c_custkey"].to_numpy(np.int64),
-            "c_name": m["c_name"],
-            "o_orderkey": m["o_orderkey"].to_numpy(np.int64),
-            "o_orderdate": pd.to_datetime(m["o_orderdate"]),
-            "price_c": m["price_c"].to_numpy(np.int64),
-            "sum_qty_micro": m["sum_qty_micro"].to_numpy(np.int64),
-        }), schema=cust_schema, preserve_index=False)
-
     cust = _read(sf_dir, "customer", ["c_custkey", "c_name"])
-    out = cust.map_batches(attach_cust, batch_format="pandas").to_pandas()
-    out = out.sort_values(["sum_qty_micro", "o_orderkey"],
-                          ascending=[False, True],
-                          kind="mergesort").head(100).reset_index(drop=True)
-    out["o_orderdate"] = pd.to_datetime(out["o_orderdate"])
-    return out
+    joined = sim.lookup_join(
+        sim.lookup_join(orders, survivors, "o_orderkey", "l_orderkey"),
+        cust, "o_custkey", "c_custkey")
+
+    def project(df):
+        return pd.DataFrame({
+            "c_custkey": df["o_custkey"].to_numpy(np.int64),
+            "c_name": df["c_name"],
+            "o_orderkey": df["o_orderkey"].to_numpy(np.int64),
+            "o_orderdate": df["o_orderdate"],
+            "price_c": _cents_col(df["o_totalprice"]),
+            "sum_qty_micro": df["sum_qty_micro"].to_numpy(np.int64),
+        })
+
+    return sim.top_k(joined.map_batches(project, batch_format="pandas"),
+                     ["sum_qty_micro", "o_orderkey"], 100,
+                     descending=[True, False])
 
 
 def q_length_outliers(sf_dir: str):
@@ -2677,27 +2604,23 @@ ORDER_JOIN_CUTOFF = "1996-06-30"
 
 
 def q_order_revenue_join(sf_dir: str):
-    """TPC-H-Q3-shaped BIG-BIG JOIN — the co-partitioned hash-join
-    shape the rest of §2.4 lacks (top_customers broadcasts its small
-    side; here BOTH sides shuffle). customer⋉orders is a left_semi
-    hash join (only orders rows survive, so no customer payload
-    travels past it); the surviving orders inner-join lineitem on the
-    order key. Both use Ray Data's native hash JoinOperator with
-    SIZE-DERIVED partition counts taken from parquet metadata row
-    counts (``_read(...).count()`` on a fresh read is footer-only —
-    deriving them executes nothing). Filters and column pruning run
-    map-side BEFORE the shuffles: only (l_orderkey, price, discount)
-    resp. (o_orderkey, o_custkey, date, priority) rows enter an
-    exchange. Revenue is per-row integer micro-units before summing
-    (order-independent); final top-10 tie-break (revenue DESC, date
-    ASC, orderkey ASC) mirrors the oracle's ORDER BY."""
+    """TPC-H-Q3 shape: customer⋉orders is a left_semi lookup (only
+    orders rows survive, so no customer payload travels past it); the
+    surviving orders attach their date and priority to lineitem on
+    the order key. Both go through ``sim.lookup_join``, which
+    broadcasts a side that fits its byte budget and hash-joins a
+    larger one. Filters and column pruning run map-side BEFORE the
+    joins: only (l_orderkey, price, discount) resp. (o_orderkey,
+    o_custkey, date, priority) rows reach them. Revenue is per-row
+    integer micro-units before summing (order-independent); final
+    top-10 tie-break (revenue DESC, date ASC, orderkey ASC) mirrors
+    the oracle's ORDER BY."""
     import pandas as pd
     import pyarrow.compute as pc
 
     cut = pa.scalar(pd.Timestamp(ORDER_JOIN_CUTOFF), pa.timestamp("us"))
 
     n_orders = _read(sf_dir, "orders", ["o_orderkey"]).count()
-    n_li = _read(sf_dir, "lineitem", ["l_orderkey"]).count()
 
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).map_batches(
         lambda b: b.filter(
@@ -2722,28 +2645,10 @@ def q_order_revenue_join(sf_dir: str):
         batch_format="pyarrow",
     )
 
-    # Partition count: size-derived (≈200k rows each) but clamped to
-    # half the cluster CPUs — Ray's hash join spins min(partitions,
-    # 64) aggregator ACTORS per join, and the fresh-actor ramp has a
-    # measured CLIFF: at 32 CPUs / sf0.1 the two-join pipeline runs
-    # 12.4 s (np=8), 16.7 s (np=16), 109 s (np=32); 8 CPUs deadlock
-    # outright at np=32 under Ray's default 50%-of-CPUs aggregator
-    # reservation (see _join_remote_args). On a real cluster raise
-    # DataContext.max_hash_shuffle_aggregators toward the node count
-    # so per-aggregator accumulation stays node-sized; the CPU clamp
-    # then admits the size-derived count unchanged.
-    np_orders = _join_parts(n_orders)
-    np_li = _join_parts(n_li)
-    o_semi = orders.join(
-        cust, "left_semi", np_orders,
-        on=("o_custkey",), right_on=("c_custkey",),
-        aggregator_ray_remote_args=_join_remote_args(np_orders),
-    ).select_columns(["o_orderkey", "o_orderdate", "o_orderpriority"])
-    joined = lineitem.join(
-        o_semi, "inner", np_li,
-        on=("l_orderkey",), right_on=("o_orderkey",),
-        aggregator_ray_remote_args=_join_remote_args(np_li),
-    )
+    o_semi = sim.lookup_join(orders, cust, "o_custkey", "c_custkey",
+                             how="left_semi").select_columns(
+        ["o_orderkey", "o_orderdate", "o_orderpriority"])
+    joined = sim.lookup_join(lineitem, o_semi, "l_orderkey", "o_orderkey")
 
     # Final reduce is the repo's BUCKETED idiom, not a native per-key
     # aggregate: ~n_orders distinct (orderkey, date, priority) keys
@@ -2793,17 +2698,17 @@ def q_bloom_semi_join(sf_dir: str):
     Build: urgent o_orderkey per-batch packed-bitmap partials →
     bucketed OR-merge tree → one ≤ MiB bitmap via ray.put
     (stages/bloom.py; bits size-derived at 8/key). Probe: lineitem
-    drops non-members map-side BEFORE any exchange (~80% of rows at
-    this priority mix never shuffle). Bloom false positives are
-    removed by the exact native hash join against the distinct urgent
-    keys that follows, so the result is EXACT — the bitmap only
-    shrinks the exchange. Revenue in integer micro-units."""
+    drops non-members map-side (~80% of rows at this priority mix).
+    Bloom false positives are removed by the exact left_semi
+    ``sim.lookup_join`` against the distinct urgent keys that follows
+    (a hash join once the key set outgrows the broadcast budget), so
+    the result is EXACT — the bitmap only shrinks what reaches it.
+    Revenue in integer micro-units."""
     import pyarrow.compute as pc
 
     # ONE orders scan: the per-batch-unique urgent keys are
     # distributed-materialized once and reused as BOTH the bloom-build
-    # input and the exact-verify join build side (this key set is what
-    # is too big to broadcast — shuffling/pinning it stays fine)
+    # input and the exact-verify lookup's dimension
     dedup_keys = _read(
         sf_dir, "orders", ["o_orderkey", "o_orderpriority"]
     ).map_batches(
@@ -2829,13 +2734,8 @@ def q_bloom_semi_join(sf_dir: str):
         sf_dir, "lineitem",
         ["l_orderkey", "l_extendedprice", "l_discount", "l_returnflag"],
     ).map_batches(prefilter, batch_format="pyarrow")
-    n_li = _read(sf_dir, "lineitem", ["l_orderkey"]).count()
-    n_part = _join_parts(n_li // 5)
-    verified = survivors.join(
-        dedup_keys, "left_semi", n_part,
-        on=("l_orderkey",), right_on=("o_orderkey",),
-        aggregator_ray_remote_args=_join_remote_args(n_part),
-    )
+    verified = sim.lookup_join(survivors, dedup_keys, "l_orderkey",
+                               "o_orderkey", how="left_semi")
 
     def partial(df):
         rev = np.floor(
@@ -4604,22 +4504,19 @@ def q_orders_page(sf_dir: str):
 def q_dense_order_grid(sf_dir: str):
     """Zero-filled reporting grid (CROSS JOIN + LEFT JOIN COALESCE —
     the dense-dimension shape dashboards need so missing (nation,
-    year) cells read 0 instead of vanishing): orders attribute to
-    nations through a native orders⋈customer hash join on projected
-    columns, a per-(nationkey, year) combiner reduces map-side, and
-    the dense grid — nations × observed years, both tiny by
-    definition — is assembled driver-side and left-merged with the
-    rollup. Only (custkey, year, cents) rows ever shuffle."""
+    year) cells read 0 instead of vanishing): per-(custkey, year)
+    order partials attach customer's nationkey through
+    ``sim.lookup_join``, a per-(nationkey, year) combiner reduces
+    map-side, and the dense grid — nations × observed years, both
+    tiny by definition — is assembled driver-side and left-merged
+    with the rollup."""
     import pandas as pd
     import pyarrow.compute as pc
 
-    n_orders = _read(sf_dir, "orders", ["o_orderkey"]).count()
-
     def pre_rollup(b: pa.Table) -> pa.Table:
         # pre-aggregate per (custkey, year) BEFORE the join: the probe
-        # side shrinks from one row per order to one partial per
-        # (batch, customer, year) — the join exchange carries rollups,
-        # not orders
+        # shrinks from one row per order to one partial per (batch,
+        # customer, year)
         df = pa.Table.from_pydict({
             "o_custkey": b.column("o_custkey"),
             "order_year": pc.year(b.column("o_orderdate")),
@@ -4638,7 +4535,6 @@ def q_dense_order_grid(sf_dir: str):
         sf_dir, "orders", ["o_custkey", "o_orderdate", "o_totalprice"]
     ).map_batches(pre_rollup, batch_format="pyarrow")
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    np_j = _join_parts(n_orders, lo=2)
 
     def rollup(df):
         g = df.groupby(["c_nationkey", "order_year"], as_index=False).agg(
@@ -4647,11 +4543,7 @@ def q_dense_order_grid(sf_dir: str):
                          "n_orders": "int64", "sum_cents": "int64"})
 
     cnt = (
-        orders.join(
-            cust, "inner", np_j,
-            on=("o_custkey",), right_on=("c_custkey",),
-            aggregator_ray_remote_args=_join_remote_args(np_j),
-        )
+        sim.lookup_join(orders, cust, "o_custkey", "c_custkey")
         .map_batches(rollup, batch_format="pandas")
         .groupby(["c_nationkey", "order_year"])
         .aggregate(Sum("n_orders", alias_name="n_orders"),
@@ -4752,11 +4644,12 @@ def q_nation_revenue(sf_dir: str):
     multi-way leg): revenue by region/nation for orders placed in one
     calendar year, lineitem ⋈ orders ⋈ customer ⋈ nation ⋈ region.
 
-    Scale shape: the two BIG sides meet in native hash joins on
-    pruned projections only — orders is date-filtered and projected
-    to (orderkey, custkey) BEFORE its join; lineitem collapses to
-    per-batch (orderkey, revenue-micro) partials before its join (≈4
-    lineitems/order combine map-side). nation/region are FIXED tiny
+    Scale shape: both joins are ``sim.lookup_join`` attaches on
+    pruned projections — orders is date-filtered and projected to
+    (orderkey, custkey), then takes customer's nationkey; lineitem
+    collapses to per-batch (orderkey, revenue-micro) partials (≈4
+    lineitems/order combine map-side), then takes the filtered
+    orders' nationkey. nation/region are FIXED tiny
     relations (25/5 rows at every sf) — they never join at all: the
     25-key revenue rollup leaves the pipeline first, then the names
     attach on the driver. Revenue in exact integer micro per lineitem
@@ -4775,9 +4668,6 @@ def q_nation_revenue(sf_dir: str):
         m = (df["o_orderdate"] >= lo) & (df["o_orderdate"] < hi)
         return df.loc[m, ["o_orderkey", "o_custkey"]]
 
-    # the custkey→nationkey dimension attaches through the lookup join
-    # (broadcast while customer is small), so the one exchange of
-    # orders is the orderkey join below
     ofil = sim.lookup_join(
         orders.map_batches(ord_filter, batch_format="pandas"), cust,
         "o_custkey", "c_custkey").select_columns(["o_orderkey", "c_nationkey"])
@@ -4794,14 +4684,8 @@ def q_nation_revenue(sf_dir: str):
         return out.groupby("l_orderkey", as_index=False).agg(
             rev_micro=("rev_micro", "sum"))
 
-    lrev = li.map_batches(li_partial, batch_format="pandas")
-
-    n_part = _join_parts(orders.count())
-    j2 = lrev.join(
-        ofil, "inner", n_part,
-        on=("l_orderkey",), right_on=("o_orderkey",),
-        aggregator_ray_remote_args=_join_remote_args(n_part),
-    )
+    j2 = sim.lookup_join(li.map_batches(li_partial, batch_format="pandas"),
+                         ofil, "l_orderkey", "o_orderkey")
 
     def nat_partial(df):
         out = pd.DataFrame(
@@ -4829,12 +4713,10 @@ def q_local_supplier_volume(sf_dir: str):
     """TPC-H Q5 proper — nation_revenue's star join PLUS the local-
     supplier equality (c_nationkey = s_nationkey), the join-attribute
     filter across TWO dimension paths that the star alone lacks.
-    Plan: supplier (fixed small dimension) broadcasts once; orders
-    date-filter, then attach custkey→nation through the lookup join;
-    lineitem attaches its supplier nation map-side; ONE big-big hash
-    join on the order key; the equality filter and the 25-key rollup
-    run in the join's output batches, so the only exchange is the
-    orderkey join of two pruned projections."""
+    Plan: orders date-filter, then attach custkey→nation; lineitem
+    attaches the filtered orders on the order key, then its supplier
+    nation; every join is a ``sim.lookup_join``. The equality filter
+    and the 25-key rollup run in the joined batches."""
     import pandas as pd
 
     lo = pd.Timestamp(NATION_REV_LO)
@@ -4842,14 +4724,9 @@ def q_local_supplier_volume(sf_dir: str):
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_custkey", "o_orderdate"])
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
+    supp = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
     li = _read(sf_dir, "lineitem",
                ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"])
-
-    sdf = _read(sf_dir, "supplier",
-                ["s_suppkey", "s_nationkey"]).to_pandas()
-    s_order = np.argsort(sdf["s_suppkey"].to_numpy(np.int64))
-    sref = ray.put((sdf["s_suppkey"].to_numpy(np.int64)[s_order],
-                    sdf["s_nationkey"].to_numpy(np.int64)[s_order]))
 
     def ord_filter(df):
         m = (df["o_orderdate"] >= lo) & (df["o_orderdate"] < hi)
@@ -4858,33 +4735,19 @@ def q_local_supplier_volume(sf_dir: str):
     ofil = sim.lookup_join(
         orders.map_batches(ord_filter, batch_format="pandas"), cust,
         "o_custkey", "c_custkey").select_columns(["o_orderkey", "c_nationkey"])
+    j2 = sim.lookup_join(sim.lookup_join(li, ofil, "l_orderkey", "o_orderkey"),
+                         supp, "l_suppkey", "s_suppkey")
 
-    def li_map(df):
-        sk, snk = sim.resolve_broadcast(sref, key="lsv-supp")
-        idx, _ = _sorted_lookup(sk, df["l_suppkey"].to_numpy(np.int64))
+    def local_partial(df):
+        df = df[df["s_nationkey"] == df["c_nationkey"]]
         rev = np.floor(
             df["l_extendedprice"].to_numpy(np.float64)
             * (1.0 - df["l_discount"].to_numpy(np.float64))
             * 1_000_000 + 0.5
         ).astype(np.int64)
-        return pd.DataFrame(
-            {"l_orderkey": df["l_orderkey"].to_numpy(np.int64),
-             "s_nat": snk[idx], "rev_micro": rev})
-
-    lrev = li.map_batches(li_map, batch_format="pandas")
-
-    n_part = _join_parts(orders.count())
-    j2 = lrev.join(
-        ofil, "inner", n_part,
-        on=("l_orderkey",), right_on=("o_orderkey",),
-        aggregator_ray_remote_args=_join_remote_args(n_part),
-    )
-
-    def local_partial(df):
-        df = df[df["s_nat"] == df["c_nationkey"]]
-        out = pd.DataFrame({"nationkey": df["s_nat"].to_numpy(np.int64),
-                            "revenue_micro":
-                                df["rev_micro"].to_numpy(np.int64)})
+        out = pd.DataFrame(
+            {"nationkey": df["s_nationkey"].to_numpy(np.int64),
+             "revenue_micro": rev})
         return out.groupby("nationkey", as_index=False).agg(
             revenue_micro=("revenue_micro", "sum"))
 
@@ -4974,8 +4837,8 @@ def q_rare_token_score(sf_dir: str):
     reduce, MATERIALIZED once (vocabulary-sized, corpus-independent)
     so TOTAL is a cheap aggregate over it instead of a second text
     pass; probe rows are per-(doc, distinct token) int64 triples —
-    8-byte md5 hashes, never strings; native hash join → per-doc
-    bucketed sum → ``top_k``.
+    8-byte md5 hashes, never strings; the counts attach through
+    ``sim.lookup_join`` → per-doc bucketed sum → ``top_k``.
     Overflow margin: score ≤ n_tokens(doc) · TOTAL ≈ 2^62 at 10^13
     corpus tokens × 2^9-token docs — documented int64 edge; the
     oracle computes in HUGEINT and casts."""
@@ -4986,28 +4849,18 @@ def q_rare_token_score(sf_dir: str):
 
     def count_reduce(g):
         s = g.groupby("th", as_index=False).agg(cnt=("cnt", "sum"))
-        s = s.astype({"th": "int64", "cnt": "int64"}).rename(
-            columns={"th": "th_r"})
         return pa.Table.from_pandas(
-            s, preserve_index=False).replace_schema_metadata(None)
+            s.astype({"th": "int64", "cnt": "int64"}),
+            preserve_index=False).replace_schema_metadata(None)
 
-    counts = (
-        dd.bucketed_close(docs, "th", count_reduce, rows=n_docs,
-                          rows_per_doc=32, partial=tx.token_count_partial)
-        # consolidate: an all-empty bucket otherwise emits a
-        # zero-schema block that poisons the join's right side
-        .repartition(max(1, min(32, -(-n_docs // 25_000))))
-        .materialize()  # vocabulary-sized; reused for TOTAL + join
-    )
+    counts = dd.bucketed_close(
+        docs, "th", count_reduce, rows=n_docs, rows_per_doc=32,
+        partial=tx.token_count_partial,
+    ).materialize()  # vocabulary-sized; reused for TOTAL + join
     total = int(counts.sum("cnt"))
-
-    probe = docs.map_batches(tx.rare_token_rows, batch_format="pyarrow")
-    # post-join combiner width == num_partitions (see dup_gram_mass)
-    n_part = _join_parts(n_docs, rows_per_doc=64, cpu_div=1)
-    joined = probe.join(
-        counts, "inner", n_part, on=("th",), right_on=("th_r",),
-        aggregator_ray_remote_args=_join_remote_args(n_part),
-    )
+    joined = sim.lookup_join(
+        docs.map_batches(tx.rare_token_rows, batch_format="pyarrow"),
+        counts, "th")
 
     def score_partial(df):
         # int64-exact per-doc fold (np.add.at, not float bincount —
@@ -6767,9 +6620,10 @@ def q_dsir_weights(sf_dir: str):
     T and S are cheap aggregates; per-token weights are computed
     distributed on the vocab relation (Python-bigint per vocab row —
     the (ct+1)(S+1) product overflows int64 at web scale, the ppm
-    quotient doesn't); native hash join against per-(doc, token) int64
-    probe rows; per-doc bucketed sum. Overflow margin on the final
-    sum: documented int64 edge shared with T91 (oracle in HUGEINT)."""
+    quotient doesn't); the weights attach to per-(doc, token) int64
+    probe rows through ``sim.lookup_join``; per-doc bucketed sum.
+    Overflow margin on the final sum: documented int64 edge shared
+    with T91 (oracle in HUGEINT)."""
     import pandas as pd
 
     docs = _read(sf_dir, "documents", ["doc_id", "text", "lang"])
@@ -6778,17 +6632,14 @@ def q_dsir_weights(sf_dir: str):
     def count_reduce(g):
         s = g.groupby("th", as_index=False).agg(
             ct=("ct", "sum"), cs=("cs", "sum"))
-        s = s.astype({"th": "int64", "ct": "int64", "cs": "int64"}) \
-            .rename(columns={"th": "th_r"})
         return pa.Table.from_pandas(
-            s, preserve_index=False).replace_schema_metadata(None)
+            s.astype({"th": "int64", "ct": "int64", "cs": "int64"}),
+            preserve_index=False).replace_schema_metadata(None)
 
-    counts = (
-        dd.bucketed_close(docs, "th", count_reduce, rows=n_docs,
-                          rows_per_doc=32, partial=tx.dsir_count_partial)
-        .repartition(max(1, min(32, -(-n_docs // 25_000))))
-        .materialize()  # vocab-sized; reused for totals + weights
-    )
+    counts = dd.bucketed_close(
+        docs, "th", count_reduce, rows=n_docs, rows_per_doc=32,
+        partial=tx.dsir_count_partial,
+    ).materialize()  # vocab-sized; reused for totals + weights
     t_total = int(counts.sum("ct"))
     s_total = int(counts.sum("cs"))
 
@@ -6798,17 +6649,12 @@ def q_dsir_weights(sf_dir: str):
         w = [int(((int(a) + 1) * (s_total + 1) * 1_000_000)
                  // ((int(b) + 1) * (t_total + 1)))
              for a, b in zip(df["ct"], df["cs"])]
-        return pd.DataFrame({"th_r": df["th_r"].to_numpy(np.int64),
+        return pd.DataFrame({"th": df["th"].to_numpy(np.int64),
                              "w": pd.Series(w, dtype="int64")})
 
-    weights = counts.map_batches(weigh, batch_format="pandas")
-
-    probe = docs.map_batches(tx.rare_token_rows, batch_format="pyarrow")
-    n_part = _join_parts(n_docs, rows_per_doc=64, cpu_div=1)
-    joined = probe.join(
-        weights, "inner", n_part, on=("th",), right_on=("th_r",),
-        aggregator_ray_remote_args=_join_remote_args(n_part),
-    )
+    joined = sim.lookup_join(
+        docs.map_batches(tx.rare_token_rows, batch_format="pyarrow"),
+        counts.map_batches(weigh, batch_format="pandas"), "th")
 
     def score_partial(df):
         sc = df["occ"].to_numpy(np.int64) * df["w"].to_numpy(np.int64)
@@ -7324,78 +7170,47 @@ TRADE_NATION_B = 7  # NATION_7
 def q_nation_trade_volume(sf_dir: str):
     """TPC-H Q7 shape — cross-nation shipping volume between TWO
     nations, by (supplier nation, customer nation, ship year), both
-    directions. The nation filter is the scale lever: BOTH join
-    inputs drop ~23/25 of their rows MAP-SIDE against two tiny
-    broadcast dimension maps (supplier suppkey→nationkey, customer
-    custkey→nationkey, each restricted to the two nations) before the
-    single orderkey exchange, so the big-big join runs over ~8% of
-    lineitem and orders. The surviving rollup key space is ≤ 2
-    directions × ship-years — per-batch partials then a tiny native
-    aggregate. Reference class: §2.5 grouped rollups
+    directions. The nation filter is the scale lever: supplier and
+    customer are restricted to the two nations, so their
+    ``sim.lookup_join`` attaches drop ~23/25 of lineitem and orders
+    before the orderkey lookup that meets them. The surviving rollup
+    key space is ≤ 2 directions × ship-years — per-batch partials then
+    a tiny native aggregate. Reference class: §2.5 grouped rollups
     (document_service.py batch tallies) recast as a multi-dimension
     star join."""
     import pandas as pd
 
     nats = (TRADE_NATION_A, TRADE_NATION_B)
 
-    sdf = _read(sf_dir, "supplier",
-                ["s_suppkey", "s_nationkey"]).to_pandas()
-    sdf = sdf[sdf["s_nationkey"].isin(nats)]
-    s_keys = np.sort(sdf["s_suppkey"].to_numpy(np.int64))
-    s_nat = sdf.set_index("s_suppkey")["s_nationkey"].astype(
-        np.int64).sort_index().to_numpy()
-    sref = ray.put((s_keys, s_nat))
+    def two_nations(key):
+        return lambda df: df.loc[df[key].isin(nats)]
 
-    cdf = _read(sf_dir, "customer",
-                ["c_custkey", "c_nationkey"]).map_batches(
-        lambda b: b.loc[b["c_nationkey"].isin(nats),
-                        ["c_custkey", "c_nationkey"]],
-        batch_format="pandas").to_pandas()
-    # the two-nation slice is ~8% of customers — small enough to
-    # broadcast at any corpus sf this engine targets (the slice grows
-    # with the CUSTOMER table, not the 100 TB fact tables; size-gate
-    # with a left_semi join as in q_local_supplier_volume if a
-    # deployment's dimension outgrows the object store)
-    c_keys = np.sort(cdf["c_custkey"].to_numpy(np.int64))
-    c_nat = cdf.set_index("c_custkey")["c_nationkey"].astype(
-        np.int64).sort_index().to_numpy()
-    cref = ray.put((c_keys, c_nat))
+    supp = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]
+                 ).map_batches(two_nations("s_nationkey"),
+                               batch_format="pandas")
+    cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]
+                 ).map_batches(two_nations("c_nationkey"),
+                               batch_format="pandas")
+    ofil = sim.lookup_join(
+        _read(sf_dir, "orders", ["o_orderkey", "o_custkey"]), cust,
+        "o_custkey", "c_custkey").select_columns(["o_orderkey", "c_nationkey"])
+    lfil = sim.lookup_join(
+        _read(sf_dir, "lineitem",
+              ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount",
+               "l_shipdate"]),
+        supp, "l_suppkey", "s_suppkey")
+    j = sim.lookup_join(lfil, ofil, "l_orderkey", "o_orderkey")
 
-    def ord_map(df):
-        ck, cn = sim.resolve_broadcast(cref, key="ntv-cust")
-        idx, hit = _sorted_lookup(ck, df["o_custkey"].to_numpy(np.int64))
-        return pd.DataFrame(
-            {"o_orderkey": df["o_orderkey"].to_numpy(np.int64)[hit],
-             "cust_nat": cn[idx[hit]]})
-
-    def li_map(df):
-        sk, sn = sim.resolve_broadcast(sref, key="ntv-supp")
-        idx, hit = _sorted_lookup(sk, df["l_suppkey"].to_numpy(np.int64))
+    def partial(df):
         rev = np.floor(
             df["l_extendedprice"].to_numpy(np.float64)
             * (1.0 - df["l_discount"].to_numpy(np.float64))
             * 1_000_000 + 0.5).astype(np.int64)
-        yr = df["l_shipdate"].dt.year.to_numpy(np.int64)
-        return pd.DataFrame(
-            {"l_orderkey": df["l_orderkey"].to_numpy(np.int64)[hit],
-             "supp_nat": sn[idx[hit]],
-             "ship_year": yr[hit], "rev_micro": rev[hit]})
-
-    ofil = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"]
-                 ).map_batches(ord_map, batch_format="pandas")
-    lfil = _read(
-        sf_dir, "lineitem",
-        ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount",
-         "l_shipdate"]).map_batches(li_map, batch_format="pandas")
-
-    n_part = _join_parts(_read(sf_dir, "orders", ["o_orderkey"]).count())
-    j = lfil.join(
-        ofil, "inner", n_part,
-        on=("l_orderkey",), right_on=("o_orderkey",),
-        aggregator_ray_remote_args=_join_remote_args(n_part),
-    )
-
-    def partial(df):
+        df = pd.DataFrame({
+            "supp_nat": df["s_nationkey"].to_numpy(np.int64),
+            "cust_nat": df["c_nationkey"].to_numpy(np.int64),
+            "ship_year": df["l_shipdate"].dt.year.to_numpy(np.int64),
+            "rev_micro": rev})
         df = df[df["supp_nat"] != df["cust_nat"]]
         return df.groupby(["supp_nat", "cust_nat", "ship_year"],
                           as_index=False).agg(
@@ -7427,35 +7242,25 @@ SHARE_PTYPE = "PROMO"
 
 def q_market_share(sf_dir: str):
     """TPC-H Q8 shape — NATION_7's share of PROMO-part revenue sold
-    to ASIA-region customers, per order year. Three dimension prunes
-    run map-side (broadcast part keys of the chosen type and
-    supplier→nationkey; in-region customer keys through a left-semi
-    lookup join), so the only exchange is one orderkey join of two
-    heavily-pruned projections; the result space is ≤ order-years,
-    reduced with per-batch partials. share_ppm is exact integer math
+    to ASIA-region customers, per order year. Every join is a
+    ``sim.lookup_join``: left-semi prunes to the PROMO part keys and
+    to the in-region customers' orders, then the supplier's nation
+    attaches; the result space is ≤ order-years, reduced with
+    per-batch partials. share_ppm is exact integer math
     (HUGEINT-mirrorable: nation·10⁶ // total)."""
     import pandas as pd
 
     nat = _read(sf_dir, "nation",
                 ["n_nationkey", "n_regionkey"]).to_pandas()
-    region_nats = set(nat.loc[nat["n_regionkey"] == SHARE_REGION,
-                              "n_nationkey"].astype(int))
+    rn = np.sort(nat.loc[nat["n_regionkey"] == SHARE_REGION,
+                         "n_nationkey"].to_numpy(np.int64))
 
-    pdf = _read(sf_dir, "part", ["p_partkey", "p_type"]).map_batches(
+    promo = _read(sf_dir, "part", ["p_partkey", "p_type"]).map_batches(
         lambda b: b.loc[b["p_type"] == SHARE_PTYPE, ["p_partkey"]],
-        batch_format="pandas").to_pandas()
-    pref = ray.put(np.sort(pdf["p_partkey"].to_numpy(np.int64)))
-
-    sdf = _read(sf_dir, "supplier",
-                ["s_suppkey", "s_nationkey"]).to_pandas()
-    s_keys = np.sort(sdf["s_suppkey"].to_numpy(np.int64))
-    s_nat = sdf.set_index("s_suppkey")["s_nationkey"].astype(
-        np.int64).sort_index().to_numpy()
-    sref = ray.put((s_keys, s_nat))
-
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    rn = np.array(sorted(region_nats), np.int64)
-    cfil = cust.map_batches(
+        batch_format="pandas")
+    supp = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
+    cfil = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]
+                 ).map_batches(
         lambda b: b.loc[b["c_nationkey"].isin(rn), ["c_custkey"]],
         batch_format="pandas")
 
@@ -7470,38 +7275,25 @@ def q_market_share(sf_dir: str):
               ).map_batches(ord_map, batch_format="pandas"),
         cfil, "o_custkey", "c_custkey", how="left_semi",
     ).select_columns(["o_orderkey", "o_year"])
+    lfil = sim.lookup_join(
+        _read(sf_dir, "lineitem",
+              ["l_orderkey", "l_partkey", "l_suppkey", "l_extendedprice",
+               "l_discount"]),
+        promo, "l_partkey", "p_partkey", how="left_semi")
+    j = sim.lookup_join(
+        sim.lookup_join(lfil, ofil, "l_orderkey", "o_orderkey"),
+        supp, "l_suppkey", "s_suppkey")
 
-    def li_map(df):
-        pk = sim.resolve_broadcast(pref, key="ms-part")
-        sk, sn = sim.resolve_broadcast(sref, key="ms-supp")
-        lp = df["l_partkey"].to_numpy(np.int64)
-        hit = np.isin(lp, pk)
-        df = df[hit]
-        idx, is_nat = _sorted_lookup(sk, df["l_suppkey"].to_numpy(np.int64))
-        is_nat[is_nat] = sn[idx[is_nat]] == SHARE_NATION
+    def partial(df):
         rev = np.floor(
             df["l_extendedprice"].to_numpy(np.float64)
             * (1.0 - df["l_discount"].to_numpy(np.float64))
             * 1_000_000 + 0.5).astype(np.int64)
+        is_nat = df["s_nationkey"].to_numpy(np.int64) == SHARE_NATION
         return pd.DataFrame(
-            {"l_orderkey": df["l_orderkey"].to_numpy(np.int64),
-             "rev_micro": rev,
-             "nat_micro": np.where(is_nat, rev, 0)})
-
-    lfil = _read(
-        sf_dir, "lineitem",
-        ["l_orderkey", "l_partkey", "l_suppkey", "l_extendedprice",
-         "l_discount"]).map_batches(li_map, batch_format="pandas")
-
-    n_part = _join_parts(_read(sf_dir, "orders", ["o_orderkey"]).count())
-    j = lfil.join(
-        ofil, "inner", n_part,
-        on=("l_orderkey",), right_on=("o_orderkey",),
-        aggregator_ray_remote_args=_join_remote_args(n_part),
-    )
-
-    def partial(df):
-        return df.groupby("o_year", as_index=False).agg(
+            {"o_year": df["o_year"].to_numpy(np.int64), "rev_micro": rev,
+             "nat_micro": np.where(is_nat, rev, 0)}).groupby(
+            "o_year", as_index=False).agg(
             total_micro=("rev_micro", "sum"),
             nation_micro=("nat_micro", "sum"))
 
@@ -7530,10 +7322,10 @@ def q_returned_items(sf_dir: str):
     """TPC-H Q10 shape — customers who returned the most revenue in a
     six-month order window. Both join inputs prune map-side (orders to
     the window, lineitem to returnflag='R') before ONE orderkey
-    exchange; the per-customer reduce is the repo's bucketed idiom
-    followed by ``top_k`` (safe: the key is c_custkey, one bucket owns
-    a key entirely), so the driver merges ≤ 20·blocks rows. The 20
-    winners' names attach via a map-side filtered
+    ``sim.lookup_join``; the per-customer reduce is the repo's
+    bucketed idiom followed by ``top_k`` (safe: the key is c_custkey,
+    one bucket owns a key entirely), so the driver merges ≤ 20·blocks
+    rows. The 20 winners' names attach via a map-side filtered
     customer read — no customer payload enters any exchange."""
     import pandas as pd
     import pyarrow.compute as pc
@@ -7558,12 +7350,7 @@ def q_returned_items(sf_dir: str):
         batch_format="pyarrow")
 
     n_li = _read(sf_dir, "lineitem", ["l_orderkey"]).count()
-    n_part = _join_parts(n_li)
-    j = li.join(
-        orders, "inner", n_part,
-        on=("l_orderkey",), right_on=("o_orderkey",),
-        aggregator_ray_remote_args=_join_remote_args(n_part),
-    )
+    j = sim.lookup_join(li, orders, "l_orderkey", "o_orderkey")
 
     def partial(df):
         rev = np.floor(
@@ -8817,66 +8604,48 @@ def q_nation_year_profit(sf_dir: str):
     """TPC-H Q9 shape ADAPTED — profit by (supplier nation, order
     year) for one part family. partsupp is absent from this schema,
     so profit is l_extendedprice·(1−l_discount) without the
-    ps_supplycost term — the PLAN shape (two dimension broadcasts
-    pruning the fact map-side, ONE big-big orderkey exchange, a tiny
-    (nation × year) rollup) is Q9's. The part filter drops ~87% of
-    lineitem before the exchange; supplier→nation attaches from a
-    broadcast array (dimension tables are 10⁻⁵ of the fact at any
-    TPC-H sf, safe in the object store at 100 TB corpus scale)."""
+    ps_supplycost term — the PLAN shape (the part filter and the
+    supplier and orders attaches on lineitem, then a tiny (nation ×
+    year) rollup) is Q9's, every join a ``sim.lookup_join``. The part
+    filter is a left-semi lookup that drops ~87% of lineitem first."""
     import pandas as pd
 
-    ppd = _read(sf_dir, "part", ["p_partkey", "p_name"]).to_pandas()
-    p_keys = np.sort(ppd.loc[
-        ppd["p_name"].str.contains(PROFIT_PART_WORD, regex=False),
-        "p_partkey"].to_numpy(np.int64))
-    pref = ray.put(p_keys)
-
-    spd = _read(sf_dir, "supplier",
-                ["s_suppkey", "s_nationkey"]).to_pandas()
-    s_keys = np.sort(spd["s_suppkey"].to_numpy(np.int64))
-    s_nat = spd.set_index("s_suppkey")["s_nationkey"].astype(
-        np.int64).sort_index().to_numpy()
-    sref = ray.put((s_keys, s_nat))
-
-    def li_map(df):
-        pk = sim.resolve_broadcast(pref, key="nyp-part")
-        sk, sn = sim.resolve_broadcast(sref, key="nyp-supp")
-        _, hit = _sorted_lookup(pk, df["l_partkey"].to_numpy(np.int64))
-        sidx, _ = _sorted_lookup(sk, df["l_suppkey"].to_numpy(np.int64)[hit])
-        nat = sn[sidx]
-        profit = np.floor(
-            df["l_extendedprice"].to_numpy(np.float64)[hit]
-            * (1.0 - df["l_discount"].to_numpy(np.float64)[hit])
-            * 1_000_000 + 0.5).astype(np.int64)
-        return pd.DataFrame({
-            "l_orderkey": df["l_orderkey"].to_numpy(np.int64)[hit],
-            "supp_nat": nat, "profit_micro": profit})
-
-    lfil = _read(sf_dir, "lineitem",
-                 ["l_orderkey", "l_partkey", "l_suppkey",
-                  "l_extendedprice", "l_discount"]
-                 ).map_batches(li_map, batch_format="pandas")
+    plate = _read(sf_dir, "part", ["p_partkey", "p_name"]).map_batches(
+        lambda b: b.loc[b["p_name"].str.contains(PROFIT_PART_WORD,
+                                                 regex=False),
+                        ["p_partkey"]],
+        batch_format="pandas")
+    supp = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"]
                    ).map_batches(
         lambda df: pd.DataFrame({
             "o_orderkey": df["o_orderkey"].to_numpy(np.int64),
             "o_year": df["o_orderdate"].dt.year.to_numpy(np.int64)}),
         batch_format="pandas")
+    lfil = sim.lookup_join(
+        _read(sf_dir, "lineitem",
+              ["l_orderkey", "l_partkey", "l_suppkey", "l_extendedprice",
+               "l_discount"]),
+        plate, "l_partkey", "p_partkey", how="left_semi")
+    j = sim.lookup_join(sim.lookup_join(lfil, supp, "l_suppkey", "s_suppkey"),
+                        orders, "l_orderkey", "o_orderkey")
 
-    n_part = _join_parts(_read(sf_dir, "orders", ["o_orderkey"]).count())
-    j = lfil.join(
-        orders, "inner", n_part,
-        on=("l_orderkey",), right_on=("o_orderkey",),
-        aggregator_ray_remote_args=_join_remote_args(n_part))
+    def partial(df):
+        profit = np.floor(
+            df["l_extendedprice"].to_numpy(np.float64)
+            * (1.0 - df["l_discount"].to_numpy(np.float64))
+            * 1_000_000 + 0.5).astype(np.int64)
+        return pd.DataFrame({
+            "supp_nat": df["s_nationkey"].to_numpy(np.int64),
+            "o_year": df["o_year"].to_numpy(np.int64),
+            "profit_micro": profit}).groupby(
+            ["supp_nat", "o_year"], as_index=False).agg(
+            profit_micro=("profit_micro", "sum"))
 
-    small = (j.map_batches(
-        lambda df: df.groupby(["supp_nat", "o_year"],
-                              as_index=False).agg(
-            profit_micro=("profit_micro", "sum")),
-        batch_format="pandas")
-        .groupby(["supp_nat", "o_year"])
-        .aggregate(Sum("profit_micro", alias_name="profit_micro"))
-        .to_pandas())  # ≤ nations × years rows
+    small = (j.map_batches(partial, batch_format="pandas")
+             .groupby(["supp_nat", "o_year"])
+             .aggregate(Sum("profit_micro", alias_name="profit_micro"))
+             .to_pandas())  # ≤ nations × years rows
     nm = _read(sf_dir, "nation", ["n_nationkey", "n_name"]
                ).to_pandas().set_index("n_nationkey")["n_name"]
     out = pd.DataFrame({
@@ -8902,8 +8671,9 @@ def q_ship_delay_modes(sf_dir: str):
     semantics are Q12's exactly: per class, the CASE-sum split of
     line counts into high-priority (1-URGENT/2-HIGH) vs low-priority
     orders, over one ship-year. Lineitem prunes to the year map-side,
-    then ONE orderkey exchange against the (orderkey, date, priority)
-    projection; the rollup key space is 2, folded per-batch."""
+    then attaches the (orderkey, date, priority) projection through
+    ONE orderkey ``sim.lookup_join``; the rollup key space is 2,
+    folded per-batch."""
     import pandas as pd
     import pyarrow.compute as pc
 
@@ -8919,12 +8689,7 @@ def q_ship_delay_modes(sf_dir: str):
         batch_format="pyarrow")
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_orderdate", "o_orderpriority"])
-
-    n_part = _join_parts(_read(sf_dir, "orders", ["o_orderkey"]).count())
-    j = li.join(
-        orders, "inner", n_part,
-        on=("l_orderkey",), right_on=("o_orderkey",),
-        aggregator_ray_remote_args=_join_remote_args(n_part))
+    j = sim.lookup_join(li, orders, "l_orderkey", "o_orderkey")
 
     def partial(df):
         delay = (df["l_shipdate"].to_numpy("datetime64[D]")

@@ -161,7 +161,14 @@ def _join_parts(n_rows: int, rows_per_doc: int = 1, cpu_div: int = 2,
                 lo: int = 8) -> int:
     """Partition count for a native hash join: size-derived
     (``derive_buckets``), at most the cluster's CPUs // ``cpu_div``
-    and at least ``lo``."""
+    and at least ``lo``. The CPU clamp is there because Ray's hash
+    join spins min(partitions, 64) aggregator ACTORS per join, and
+    the fresh-actor ramp has a measured CLIFF: at 32 CPUs / sf0.1 a
+    two-join TPC-H Q3 pipeline ran 12.4 s at 8 partitions, 16.7 s at
+    16 and 109 s at 32. On a real cluster raise
+    DataContext.max_hash_shuffle_aggregators toward the node count so
+    per-aggregator accumulation stays node-sized; the clamp then
+    admits the size-derived count unchanged."""
     cpus = int(ray.cluster_resources().get("CPU", 8))
     return max(lo, min(derive_buckets(n_rows, rows_per_doc),
                        cpus // cpu_div))
@@ -187,13 +194,13 @@ def _join_remote_args(num_partitions: int) -> dict:
 def _lookup_key(cols, uniq):
     """One probe-able key array: the key column itself, or for a
     composite key a mixed-radix int64 code over each column's distinct
-    dimension values ``uniq`` (null where any part is absent)."""
+    dimension values ``uniq`` (null where any part is absent or null)."""
     if len(cols) == 1:
         return cols[0]
     code = pa.scalar(0, pa.int64())
     for col, u in zip(cols, uniq):
         code = pc.add(pc.multiply(code, len(u)),
-                      pc.index_in(col, value_set=u))
+                      pc.index_in(col, value_set=u, skip_nulls=True))
     return code
 
 
@@ -203,8 +210,9 @@ def _attach(batch: pa.Table, ref, on: list[str], how: str) -> pa.Table:
     if batch.num_columns == 0:
         return batch
     dkey, uniq, vals = resolve_broadcast(ref)
+    # a null key matches nothing, as in the hash join
     row = pc.index_in(_lookup_key([batch.column(c) for c in on], uniq),
-                      value_set=dkey)
+                      value_set=dkey, skip_nulls=True)
     hit = row.is_valid()
     out = batch.filter(hit).replace_schema_metadata(None)
     if how == "inner":
@@ -234,7 +242,8 @@ def lookup_join(probe, dim, on, right_on=None, how: str = "inner"):
     allowed), with ``dim``'s non-key columns attached for
     ``how="inner"`` and none for ``how="left_semi"``. Returned lazy;
     row order is unspecified. ``dim``'s keys must be unique for an
-    inner join and its non-key names distinct from ``probe``'s.
+    inner join and its non-key names distinct from ``probe``'s. A
+    null key matches nothing.
 
     ``dim`` is materialized once. If its Arrow bytes fit
     ``LOOKUP_BCAST_BYTES`` (an empty one always does) it is put once
@@ -249,6 +258,13 @@ def lookup_join(probe, dim, on, right_on=None, how: str = "inner"):
     dim = dim.materialize()
     n = dim.count()
     if n and dim.size_bytes() > LOOKUP_BCAST_BYTES:
+        # Ray's hash join takes the key column from the probe's first
+        # block, so a probe with no rows fails every partition ("No
+        # match … for key field"); it matches nothing, and a map over
+        # no rows (the broadcast plan) gives no rows and no columns
+        probe = probe.materialize()
+        if not probe.count():
+            return ray.data.from_arrow(pa.table({}))
         parts = _join_parts(n)
         return _nonempty_blocks(probe).join(
             _nonempty_blocks(dim), how, parts,
@@ -262,7 +278,8 @@ def lookup_join(probe, dim, on, right_on=None, how: str = "inner"):
     cols = [tbl.column(c).combine_chunks() for c in right_on]
     uniq = [pc.unique(c) for c in cols] if len(cols) > 1 else []
     dkey = _lookup_key(cols, uniq)
-    if how == "inner" and pc.count_distinct(dkey).as_py() < len(dkey):
+    if how == "inner" and (pc.count_distinct(dkey).as_py()
+                           < len(dkey) - dkey.null_count):
         raise ValueError("lookup_join: duplicate dimension keys")
     ref = ray.put((dkey, uniq, tbl.drop_columns(right_on)))
     return probe.map_batches(_attach, fn_args=(ref, on, how),

@@ -44,7 +44,7 @@ def _dim(keys):
 
     return ray.data.from_arrow(pa.table({
         "kk": pa.array(keys, pa.int64()),
-        "v": pa.array([k * 1.5 for k in keys], pa.float64()),
+        "v": pa.array([k and k * 1.5 for k in keys], pa.float64()),
         "s": pa.array([f"d{k}" for k in keys], pa.string())}))
 
 
@@ -122,3 +122,46 @@ def test_duplicate_dimension_keys_refused():
 
     with pytest.raises(ValueError, match="duplicate"):
         sim.lookup_join(_probe(), _dim([1, 1]), "k", "kk")
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("how", ["inner", "left_semi"])
+@pytest.mark.parametrize("plan", ["broadcast", "join"])
+def test_empty_probe(monkeypatch, plan, how):
+    """A filter that keeps no row (a date window past the data) gives
+    no rows on either plan; Ray's hash join had no probe block to take
+    the key column from ("No match … for key field")."""
+    import ray
+
+    from documentconvert_ray.stages import similarity as sim
+
+    if plan == "join":
+        monkeypatch.setattr(sim, "LOOKUP_BCAST_BYTES", 0)
+    probe = ray.data.from_arrow(pa.table({"p": list(range(100))})) \
+        .filter(expr="p < 0")
+    got = sim.lookup_join(probe, _dim([1, 2, 3]), "p", "kk", how=how)
+    assert got.take_all() == []
+    assert got.schema() is None or got.schema().names == (
+        ["p", "v", "s"] if how == "inner" else ["p"])
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("how", ["inner", "left_semi"])
+def test_null_keys_never_match(monkeypatch, how):
+    """A null key matches nothing, a null dimension key included, on a
+    single and a composite key, as in the hash join and in SQL."""
+    import ray
+
+    probe = ray.data.from_arrow(pa.table({
+        "k": pa.array([1, None, 2, 3], pa.int64()), "x": [0, 1, 2, 3]}))
+    got = _both_plans(monkeypatch, probe, _dim([1, None, 3]), "k", "kk",
+                      how=how)
+    assert got.column("x").to_pylist() == [0, 3]
+
+    pair = {"a": pa.array([None, 1], pa.int64()),
+            "b": pa.array([5, 5], pa.int64())}
+    got = _both_plans(
+        monkeypatch, ray.data.from_arrow(pa.table({**pair, "x": [0, 1]})),
+        ray.data.from_arrow(pa.table({**pair, "v": [7, 8]})),
+        ["a", "b"], how=how)
+    assert got.column("x").to_pylist() == [1]

@@ -54,21 +54,25 @@ def test_query_matches_oracle(name, duck, registry, ray_session):
 # schema-less blocks that the per-block partials downstream must pass
 # by; q21_waiting_suppliers leaves some at either layout).
 SMALL_BLOCK_QUERIES = (
-    "big_orders bigram_lm_nll bigram_pmi bpe_pair_merge bracket_revenue "
-    "cheapest_supplier cluster_reps dedup_keep_best excess_suppliers "
-    "fk_integrity kcenter_coreset latest_orders local_supplier_volume "
-    "market_share nation_revenue nation_trade_volume nation_year_profit "
-    "ngram_top20 ngram_top20_mg oov_rate order_revenue_join orders_page "
-    "promo_revenue q21_waiting_suppliers rare_token_score returned_items "
-    "sample_exact_k tfidf_top_terms top_customers uniform_sample_k "
+    "big_orders bigram_lm_nll bigram_pmi bloom_semi_join bpe_pair_merge "
+    "bracket_revenue cheapest_supplier cluster_reps dedup_keep_best "
+    "dense_order_grid dsir_weights excess_suppliers fk_integrity "
+    "kcenter_coreset latest_orders local_supplier_volume market_share "
+    "nation_revenue nation_trade_volume nation_year_profit ngram_top20 "
+    "ngram_top20_mg oov_rate order_revenue_join orders_page promo_revenue "
+    "q21_waiting_suppliers rare_token_score returned_items sample_exact_k "
+    "ship_delay_modes tfidf_top_terms top_customers uniform_sample_k "
     "weighted_sample_k").split()
 
 # The queries that attach a dimension through
 # ``stages.similarity.lookup_join``, checked again on its hash-join
 # plan: a zero byte budget sends every dimension through it.
 LOOKUP_JOIN_QUERIES = (
-    "bigram_lm_nll bigram_pmi local_supplier_volume market_share "
-    "nation_revenue promo_revenue tfidf_top_terms").split()
+    "big_orders bigram_lm_nll bigram_pmi bloom_semi_join dense_order_grid "
+    "dsir_weights local_supplier_volume market_share nation_revenue "
+    "nation_trade_volume nation_year_profit order_revenue_join "
+    "promo_revenue rare_token_score returned_items ship_delay_modes "
+    "tfidf_top_terms").split()
 
 
 @pytest.fixture

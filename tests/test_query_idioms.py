@@ -6,7 +6,8 @@ goes through ``_sorted_lookup`` (a hand-rolled clamp
 ``np.minimum(idx, len(keys) - 1)`` indexes ``keys[-1]`` of an empty
 key array), and the broadcast-or-join choice of a dimension attach
 goes through ``stages.similarity.lookup_join``, whose one byte budget
-replaces the per-query row-count gates."""
+replaces the per-query row-count gates. A native ``Dataset.join`` is
+left only where the join is not an N:1 lookup (``NATIVE_JOINS``)."""
 
 import ast
 import pathlib
@@ -14,6 +15,17 @@ import re
 
 QUERIES = (pathlib.Path(__file__).resolve().parent.parent
            / "documentconvert_ray" / "pipelines" / "queries.py")
+
+
+# the q_* functions whose native joins are not lookups of a
+# key-unique side
+NATIVE_JOINS = {
+    "q_dup_gram_mass": "left_outer: docs without a duplicated gram keep 0",
+    "q_user_customer_outer": "full_outer: unmatched rows of both sides",
+    "q_nation_order_avg": "left_outer: customers without orders count 0",
+    "q_inactive_customers": "left_anti: the customers with no order",
+    "q_salted_user_join": "the salted hot-key split is the operator",
+}
 
 
 def _method_call(node, name: str) -> bool:
@@ -51,6 +63,17 @@ def _broadcast_gates(tree: ast.Module) -> list[str]:
     return names
 
 
+def _native_joins(tree: ast.Module) -> list[tuple[str, int]]:
+    """(function, line) of each ``.join`` call in a q_* function
+    other than ``os.path.join`` and ``"sep".join``."""
+    return [(fn.name, n.lineno) for fn in tree.body
+            if isinstance(fn, ast.FunctionDef) and fn.name.startswith("q_")
+            for n in ast.walk(fn)
+            if _method_call(n, "join")
+            and not isinstance(n.func.value, ast.Constant)
+            and ast.unparse(n.func.value) != "os.path"]
+
+
 def test_detectors_see_the_idioms():
     tree = ast.parse(
         "CUST_BROADCAST_MAX = 2_000_000\n"
@@ -58,11 +81,15 @@ def test_detectors_see_the_idioms():
         "    top = ds.sort(['n', 'w'], descending=[True, False]).limit(20)\n"
         "    idx = np.searchsorted(keys, probe)\n"
         "    return top, np.minimum(idx, len(keys) - 1)\n"
-        "PMI_BCAST_MAX_VOCAB: int = 2_000_000\n")
+        "PMI_BCAST_MAX_VOCAB: int = 2_000_000\n"
+        "def q_pair(a, b, d):\n"
+        "    p = os.path.join(d, 'x') + ' '.join(['y'])\n"
+        "    return a.join(b, 'inner', 8, on=('k',))\n")
     assert _sort_limit_chains(tree) == [3]
     assert _len_minus_one_clamps(tree) == [5]
     assert _broadcast_gates(tree) == ["CUST_BROADCAST_MAX",
                                       "PMI_BCAST_MAX_VOCAB"]
+    assert _native_joins(tree) == [("q_pair", 9)]
 
 
 def test_no_sort_limit_chain_in_queries():
@@ -78,3 +105,10 @@ def test_no_hand_rolled_sorted_lookup_in_queries():
 def test_no_broadcast_gate_constant_in_queries():
     tree = ast.parse(QUERIES.read_text(encoding="utf-8"))
     assert _broadcast_gates(tree) == []
+
+
+def test_native_joins_only_where_not_a_lookup():
+    tree = ast.parse(QUERIES.read_text(encoding="utf-8"))
+    joins = _native_joins(tree)
+    assert {fn for fn, _ in joins} <= set(NATIVE_JOINS), joins
+    assert len(joins) == 6
