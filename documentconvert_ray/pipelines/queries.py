@@ -434,58 +434,52 @@ def q_minhash_dup_pairs(sf_dir: str):
     """MinHash+LSH near-dup pairs with fully DISTRIBUTED exact-Jaccard
     verification (no driver-side pair loop, no whole-corpus broadcast):
 
-    shingle→minhash→band (map_batches, no shuffle)
-    → groupby(band bucket): vectorized candidate-pair emission
-    → broadcast the candidate doc-id SET (ints, O(candidates));
-      re-shingle only those docs in map_batches
-    → groupby(doc bucket): attach each pair half's shingle set
-      (duplicate pairs from overlapping bands deduped here, inside
-      the shuffle that runs anyway)
-    → groupby(pair bucket): integer-exact Jaccard ≥ 0.7.
+    shingle→minhash→band (map side, no shuffle)
+    → band_key exchange: vectorized candidate-pair emission
+    → _verify_jaccard: integer-exact Jaccard ≥ 0.7.
 
-    Only int64 ids/hashes shuffle; shingle sets shuffle only for
-    candidate docs (≪ corpus by LSH construction)."""
+    The band exchange's group count is size-derived with a
+    cluster-width floor (pair-emission fanout — dedup.width_floor);
+    vectorized per-band pair emission inside (one Python call per
+    band_key was 38 s on 5k docs; this shape is ~2 s)."""
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     n_docs = ds.count()  # parquet metadata, no scan
-    n_band_buckets = max(dd.width_floor(),
-                         dd.derive_buckets(n_docs, rows_per_doc=16))
-    bands = ds.map_batches(
-        dd.MinHashStage(n_buckets=n_band_buckets),
-        batch_format="pyarrow", batch_size=256,
-    )
-    # bucketed candidate shuffle: size-derived group count with a
-    # cluster-width floor (pair-emission fanout — dedup.width_floor),
-    # vectorized per-band pair emission inside (one Python call per
-    # band_key was 38 s on 5k docs; this shape is ~2 s)
-    n_pair_buckets = max(dd.width_floor(),
-                         dd.derive_buckets(n_docs, rows_per_doc=2, floor=16))
-    cand = bands.groupby("bucket").map_groups(
-        dd.band_bucket_pairs, batch_format="pandas"
-    ).materialize()  # small: candidate pairs only (consumed twice)
-    empty = pa.Table.from_pydict(
-        {"doc_id_a": pa.array([], pa.int64()),
-         "doc_id_b": pa.array([], pa.int64()),
-         "jaccard_micro": pa.array([], pa.int64())})
+    cand = dd.bucketed_close(
+        ds, "band_key", dd.band_bucket_pairs, rows=n_docs, rows_per_doc=16,
+        floor=max(dd.width_floor(), 32), partial=dd.minhash_bands,
+        batch_size=256)
+    return _verify_jaccard(ds, cand, n_docs, 700_000, pair_rows_per_doc=2)
+
+
+def _verify_jaccard(ds, cand, n_docs: int, threshold_micro: int,
+                    pair_rows_per_doc: int):
+    """The exact verify shared by the MinHash and prefix-filter
+    near-dup joins: candidate (doc_id_a, doc_id_b) pairs →
+    (doc_id_a, doc_id_b, jaccard_micro) with Jaccard ≥ threshold.
+    Broadcasts the candidate doc-id SET (ints, O(candidates)) and
+    re-shingles only those docs; a doc_id-keyed exchange of shingle
+    sets ∪ pair halves attaches each half's set (duplicate pairs from
+    overlapping bands are dropped there, inside the shuffle that runs
+    anyway); a pair-keyed exchange computes integer-exact Jaccard.
+    Only int64 ids/hashes shuffle; shingle sets shuffle only for
+    candidate docs (≪ corpus)."""
+    cand = cand.materialize()  # small: candidate pairs (consumed twice)
     if cand.count() == 0:
-        return empty
+        return pa.Table.from_pydict(
+            {"doc_id_a": pa.array([], pa.int64()),
+             "doc_id_b": pa.array([], pa.int64()),
+             "jaccard_micro": pa.array([], pa.int64())})
     cand_ids = frozenset(_distinct(cand, "doc_id_a", "doc_id_b"))
-    cand_ref = ray.put(cand_ids)
-    n_jb = dd.derive_buckets(len(cand_ids), rows_per_doc=1,
-                             target=25_000, floor=8)
-    sets = ds.map_batches(
-        dd.ShingleSetStage(cand_ref, n_jb),
-        batch_format="pyarrow", batch_size=256,
-    )
-    reqs = cand.map_batches(
-        lambda b: dd.pair_fetch_requests(b, n_jb), batch_format="pyarrow"
-    )
-    halves = sets.union(reqs).groupby("jb").map_groups(
-        lambda g: dd.attach_shingles(g, n_pair_buckets),
-        batch_format="pandas",
-    )
-    return halves.groupby("pb").map_groups(
-        lambda g: dd.pair_shingle_jaccard(g, 700_000), batch_format="pandas"
-    )
+    halves = dd.bucketed_close(
+        ds, "doc_id", dd.attach_shingles, rows=len(cand_ids),
+        rows_per_doc=8, floor=8,
+        partial=dd.ShingleSetStage(ray.put(cand_ids)),
+        union=[(cand, dd.pair_fetch_requests)], batch_size=256)
+    return dd.bucketed_close(
+        halves, ["pair_a", "pair_b"],
+        lambda g: dd.pair_shingle_jaccard(g, threshold_micro),
+        rows=n_docs, rows_per_doc=pair_rows_per_doc,
+        floor=max(dd.width_floor(), 16))
 
 
 def q_prefix_jaccard_dups(sf_dir: str):
@@ -497,73 +491,20 @@ def q_prefix_jaccard_dups(sf_dir: str):
     total order) has rank ≤ |A| − o + 1 ≤ |A| − ⌈τ|A|⌉ + 1 in A (all
     o common shingles sit at-or-after it) — symmetrically for B — so
     indexing only each doc's first p = n − ⌈τn⌉ + 1 shingles finds
-    every true pair. Plan: prefix posting rows → bucketed pair
+    every true pair. Plan: prefix posting rows → sh-keyed pair
     emission with the standard length filter → the SAME distributed
-    exact-verify chain as minhash_dup_pairs (candidate-id broadcast,
-    shingle-set attach, integer Jaccard). Prefix ORDER (any total
-    order is sound): default is the broadcast-free unsigned-hash
-    order; PPJoin's df-ascending order (rarest shingles in prefixes ⇒
-    smallest posting triangles) is wired behind use_df_order — it wins
-    on Zipf web vocabularies with long rare tails, while on the
-    synthetic tables' tiny uniform vocabulary its extra df pass buys
-    nothing (measured 15.4 s vs 12.1 s at sf0.1; pytest pins the two
-    orders result-equal). Third member of the near-dup-join family:
-    LSH (probabilistic recall), df-capped full index (T4), prefix
-    filter (exact, reduced exchange)."""
-    return _prefix_jaccard(sf_dir, use_df_order=False)
-
-
-def _prefix_jaccard(sf_dir: str, use_df_order: bool):
+    exact verify as minhash_dup_pairs (_verify_jaccard). Prefix ORDER
+    (any total order is sound): the broadcast-free unsigned-hash
+    order. Third member of the near-dup-join family: LSH
+    (probabilistic recall), df-capped full index (T4), prefix filter
+    (exact, reduced exchange)."""
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     n_docs = ds.count()
-    n_buckets = max(dd.width_floor(),
-                    dd.derive_buckets(n_docs, rows_per_doc=50))
-    n_pair_buckets = max(dd.width_floor(),
-                         dd.derive_buckets(n_docs, rows_per_doc=8, floor=16))
-    df_ref = None
-    if use_df_order:
-        dfs = (
-            ds.map_batches(dd.shingle_df_partials,
-                           batch_format="pyarrow", batch_size=256)
-            .groupby("sh")
-            .aggregate(Sum("df", alias_name="df"))
-        ).materialize()
-        # a token order, not a join: it reads the lookup join's budget
-        if dfs.size_bytes() <= sim.LOOKUP_BCAST_BYTES:
-            dpd = dfs.to_pandas().sort_values("sh", kind="mergesort")
-            df_ref = ray.put((dpd["sh"].to_numpy(np.int64),
-                              dpd["df"].to_numpy(np.int64)))
-    rows = ds.map_batches(
-        lambda b: dd.prefix_posting_rows(b, n_buckets, df_ref=df_ref),
-        batch_format="pyarrow", batch_size=256,
-    )
-    cand = rows.groupby("bucket").map_groups(
-        dd.prefix_partition_pairs, batch_format="pyarrow",
-    ).materialize()  # small: length-filtered candidate pairs
-    empty = pa.Table.from_pydict(
-        {"doc_id_a": pa.array([], pa.int64()),
-         "doc_id_b": pa.array([], pa.int64()),
-         "jaccard_micro": pa.array([], pa.int64())})
-    if cand.count() == 0:
-        return empty
-    cand_ids = frozenset(_distinct(cand, "doc_id_a", "doc_id_b"))
-    cand_ref = ray.put(cand_ids)
-    n_jb = dd.derive_buckets(len(cand_ids), rows_per_doc=1,
-                             target=25_000, floor=8)
-    sets = ds.map_batches(
-        dd.ShingleSetStage(cand_ref, n_jb),
-        batch_format="pyarrow", batch_size=256,
-    )
-    reqs = cand.map_batches(
-        lambda b: dd.pair_fetch_requests(b, n_jb), batch_format="pyarrow"
-    )
-    halves = sets.union(reqs).groupby("jb").map_groups(
-        lambda g: dd.attach_shingles(g, n_pair_buckets),
-        batch_format="pandas",
-    )
-    return halves.groupby("pb").map_groups(
-        lambda g: dd.pair_shingle_jaccard(g, 600_000), batch_format="pandas"
-    )
+    cand = dd.bucketed_close(
+        ds, "sh", dd.prefix_partition_pairs, rows=n_docs, rows_per_doc=50,
+        floor=max(dd.width_floor(), 32), partial=dd.prefix_posting_rows,
+        batch_size=256)
+    return _verify_jaccard(ds, cand, n_docs, 600_000, pair_rows_per_doc=8)
 
 
 # Above this many verified pairs the driver union-find stops being
@@ -627,10 +568,8 @@ def _cc_distributed(pairs):
     Labels materialize each round — one int64 row per clustered doc —
     to cut the recursive lineage; the edge set materializes once."""
     n_pairs = pairs.count()
-    n_buckets = dd.derive_buckets(n_pairs, rows_per_doc=4, floor=8)
-    edges = pairs.map_batches(
-        lambda b: dd.cc_edge_rows(b, n_buckets), batch_format="pyarrow"
-    ).materialize()
+    edges = pairs.map_batches(dd.cc_edge_rows,
+                              batch_format="pyarrow").materialize()
     # round 0 folded into init: label(v) = min(v, neighbors(v))
     labels = edges.groupby("src").aggregate(
         Min("dst", alias_name="lab")).materialize()
@@ -642,16 +581,12 @@ def _cc_distributed(pairs):
     max_rounds = 256
     converged = False
     for _ in range(max_rounds):
-        lab_rows = labels.map_batches(
-            lambda b: dd.cc_label_rows(b, n_buckets),
-            batch_format="pyarrow",
-        )
-        msgs = edges.union(lab_rows).groupby("eb").map_groups(
-            lambda g: dd.cc_propagate(g, n_buckets), batch_format="pandas"
-        )
-        red = msgs.groupby("nb").map_groups(
-            dd.cc_reduce, batch_format="pandas"
-        ).materialize()
+        msgs = dd.bucketed_close(
+            edges, "src", dd.cc_propagate, rows=n_pairs, rows_per_doc=4,
+            floor=8, union=[(labels, dd.cc_label_rows)])
+        red = dd.bucketed_close(
+            msgs, "node", dd.cc_reduce, rows=n_pairs, rows_per_doc=4,
+            floor=8).materialize()
         labels = red.drop_columns(["changed"])
         if red.sum("changed") == 0:  # exact fixpoint probe
             converged = True
@@ -673,8 +608,8 @@ SIMHASH_MAX_HAMMING = 3  # verify threshold, shared with the oracle
 
 def q_simhash_near_dups(sf_dir: str):
     """SimHash banding near-dup pairs (hamming ≤ 3). Verification is
-    one vectorized map_batches over the carried sh_a/sh_b columns
-    (numpy XOR+popcount) + a bucketed pair-dedup groupby; nothing ever
+    one vectorized map over the carried sh_a/sh_b columns (numpy
+    XOR+popcount) + a pair-keyed dedup exchange; nothing ever
     leaves the cluster. Fully DuckDB-oracled: the per-token hash is
     md5_number_upper (textstats.simhash64), so hash → bit votes →
     16-bit band keys → MAX_BUCKET cap → hamming all mirror in SQL."""
@@ -684,55 +619,22 @@ def q_simhash_near_dups(sf_dir: str):
     # row estimate (see dedup.width_floor) — keep every core busy in
     # the candidate/dedup stages
     wf = dd.width_floor()
-    nb = max(wf, dd.derive_buckets(n_docs, rows_per_doc=4))
-    npb = max(wf, dd.derive_buckets(n_docs, rows_per_doc=2, floor=16))
-    bands = ds.map_batches(
-        dd.SimHashStage(n_buckets=nb),
-        batch_format="pyarrow", batch_size=256,
-    )
-    verified = (
-        bands.groupby("bucket")
-        .map_groups(dd.band_bucket_pairs, batch_format="pandas")
-        .map_batches(
-            lambda b: dd.hamming_filter_pairs(b, SIMHASH_MAX_HAMMING, npb),
-            batch_format="pyarrow")
-    )
-    return verified.groupby("pair_bucket").map_groups(
-        dd.dedup_pairs, batch_format="pandas"
-    )
+    cand = dd.bucketed_close(
+        ds, "band_key", dd.band_bucket_pairs, rows=n_docs, rows_per_doc=4,
+        floor=max(wf, 32), partial=dd.simhash_bands, batch_size=256)
+    return dd.bucketed_close(
+        cand, ["doc_id_a", "doc_id_b"], dd.dedup_pairs, rows=n_docs,
+        rows_per_doc=2, floor=max(wf, 16),
+        partial=lambda b: dd.hamming_filter_pairs(b, SIMHASH_MAX_HAMMING))
 
 
 def q_ngram_jaccard_dups(sf_dir: str):
     """Exact n-gram Jaccard near-dup via inverted index (stages/dedup.py
-    shingle_rows → per-shingle pairs → pair-count groupby). Integer
+    shingle_rows → per-shingle pairs → pair-count exchange). Integer
     micro-unit Jaccard, τ=0.6; hot shingles df>500 pruned on BOTH sides
     (scalability guard mirrored in the oracle's HAVING)."""
-    ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    n_docs = ds.count()
-    # size-derived shuffle granularity (≈120 posting rows per doc),
-    # width-floored for pair-emission fanout (dedup.width_floor)
-    n_buckets = max(dd.width_floor(),
-                    dd.derive_buckets(n_docs, rows_per_doc=120))
-    n_pair_buckets = max(dd.width_floor(),
-                         dd.derive_buckets(n_docs, rows_per_doc=8, floor=16))
-    rows = ds.map_batches(
-        lambda b: dd.shingle_rows(b, n_buckets),
-        batch_format="pyarrow", batch_size=256,
-    )
-    # explicit hash bucketing: the shuffle has only n_buckets groups
-    # (vs one per shingle), and pair emission is vectorized within
-    # each bucket (beats a per-shingle map_groups ~30×)
-    pairs = rows.groupby("bucket").map_groups(
-        lambda g: dd.shingle_partition_pairs(g, n_pair_buckets),
-        batch_format="pyarrow",
-    )
-    # second bucketed shuffle: combine per-shingle pair hits into
-    # per-pair co-occurrence counts and the final thresholded Jaccard
-    # (a generic multi-key Ray Aggregate here measured 150+ cpu-s on
-    # 5k docs; the bucketed pandas combine is ~1 s)
-    return pairs.groupby("pair_bucket").map_groups(
-        lambda g: dd.pair_bucket_jaccard(g, 600_000), batch_format="pandas"
-    )
+    return _shingle_pair_dups(
+        sf_dir, lambda g: dd.pair_bucket_jaccard(g, 600_000))
 
 
 def q_containment_dups(sf_dir: str):
@@ -740,27 +642,32 @@ def q_containment_dups(sf_dir: str):
     twin of q_ngram_jaccard_dups): containment = |A∩B| / min(|A|,|B|)
     ≥ 0.7 catches a short doc quoted inside a long one, which
     symmetric Jaccard structurally misses. Identical inverted-index
-    plan (same posting/pair exchanges, stages/dedup.py); only the
-    final per-pair formula differs — the denominator is the smaller
-    shingle set instead of the union."""
+    plan (_shingle_pair_dups); only the final per-pair formula
+    differs — the denominator is the smaller shingle set instead of
+    the union."""
+    return _shingle_pair_dups(
+        sf_dir, lambda g: dd.pair_bucket_containment(g, 700_000))
+
+
+def _shingle_pair_dups(sf_dir: str, pair_close):
+    """The inverted-index plan of the n-gram near-dup queries: a
+    shingle-keyed exchange of (shingle, doc_id, n_sh) postings
+    (≈120 per doc) emits per-shingle pairs, vectorized per bucket
+    (beats a per-shingle map_groups ~30×); a pair-keyed exchange
+    combines them into per-pair co-occurrence counts and
+    ``pair_close``'s thresholded measure (a generic multi-key Ray
+    Aggregate here measured 150+ cpu-s on 5k docs; the bucketed pandas
+    combine is ~1 s). Both group counts are size-derived and
+    width-floored for pair-emission fanout (dedup.width_floor)."""
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     n_docs = ds.count()
-    n_buckets = max(dd.width_floor(),
-                    dd.derive_buckets(n_docs, rows_per_doc=120))
-    n_pair_buckets = max(dd.width_floor(),
-                         dd.derive_buckets(n_docs, rows_per_doc=8, floor=16))
-    rows = ds.map_batches(
-        lambda b: dd.shingle_rows(b, n_buckets),
-        batch_format="pyarrow", batch_size=256,
-    )
-    pairs = rows.groupby("bucket").map_groups(
-        lambda g: dd.shingle_partition_pairs(g, n_pair_buckets),
-        batch_format="pyarrow",
-    )
-    return pairs.groupby("pair_bucket").map_groups(
-        lambda g: dd.pair_bucket_containment(g, 700_000),
-        batch_format="pandas",
-    )
+    wf = dd.width_floor()
+    pairs = dd.bucketed_close(
+        ds, "shingle", dd.shingle_partition_pairs, rows=n_docs,
+        rows_per_doc=120, floor=max(wf, 32), partial=dd.shingle_rows,
+        batch_size=256)
+    return dd.bucketed_close(pairs, ["doc_id_a", "doc_id_b"], pair_close,
+                             rows=n_docs, rows_per_doc=8, floor=max(wf, 16))
 
 
 # Above this corpus size the exact O(N²) broadcast sweep stops being a
@@ -1130,18 +1037,18 @@ def q_embedding_near_dups_ivf(sf_dir: str):
     n_cents = max(8, min(4096, n_vecs // 512))
     cents = sim.train_centroids(ds, n_centroids=n_cents, iters=3)
     cref = ray.put(cents)
-    n_pb = dd.derive_buckets(n_vecs, rows_per_doc=4, floor=16)
     assigned = ds.map_batches(
         sim.IvfMultiAssign(cref, 3),
         batch_format="pyarrow", batch_size=512,
     )
+    # the bucket here is the centroid cell, not a hash of a key
     pairs = assigned.groupby("bucket").map_groups(
-        lambda g: sim.bucket_cosine_pairs(g, 0.4, n_pb),
+        lambda g: sim.bucket_cosine_pairs(g, 0.4),
         batch_format="pandas",
     )
-    return pairs.groupby("pair_bucket").map_groups(
-        sim.dedup_vec_pairs, batch_format="pandas"
-    )
+    return dd.bucketed_close(pairs, ["vec_id_a", "vec_id_b"],
+                             sim.dedup_vec_pairs, rows=n_vecs,
+                             rows_per_doc=4, floor=16)
 
 
 def q_latest_orders(sf_dir: str):
@@ -5470,7 +5377,6 @@ def q_heavy_hitters_cms(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["user_id"])
     total = ds.count()
-    nb = dd.derive_buckets(total)
 
     # exact user cardinality (threshold input): bucketed distinct
     def ucount(g):
@@ -5499,13 +5405,10 @@ def q_heavy_hitters_cms(sf_dir: str):
             "user_id": out["user_id"].astype("int64"),
             "n_events": out["n"].astype("int64")})
 
-    return (
-        ds.map_batches(
-            cms.CmsCandidateCountStage(grid_ref, "user_id", thr, nb),
-            batch_format="pyarrow", batch_size=8192)
-        .groupby("bucket")
-        .map_groups(exact_reduce, batch_format="pandas")
-    )
+    return dd.bucketed_close(
+        ds, "user_id", exact_reduce, rows=total,
+        partial=cms.CmsCandidateCountStage(grid_ref, "user_id", thr),
+        batch_size=8192)
 
 
 def q_lang_confusion(sf_dir: str):
@@ -6720,7 +6623,6 @@ def q_srp_embedding_dups(sf_dir: str):
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     n_vecs = ds.count()
     wf = dd.width_floor()
-    nb = max(wf, dd.derive_buckets(n_vecs, rows_per_doc=4))
     planes = _srp_planes()
 
     def sigs(b: pa.Table) -> pa.Table:
@@ -6742,32 +6644,17 @@ def q_srp_embedding_dups(sf_dir: str):
             # unique (band, chunk) key: band·2^SRP_BAND_BITS + chunk
             out_key.append(chunk.astype(np.int64)
                            + (band << SRP_BAND_BITS))
-        key = np.concatenate(out_key)
         return pa.Table.from_pydict({
-            "bucket": pa.array((key % nb).astype(np.int32)),
-            "band_key": pa.array(key, pa.int64()),
+            "band_key": pa.array(np.concatenate(out_key), pa.int64()),
             "doc_id": pa.array(np.concatenate(out_id), pa.int64())})
 
-    pairs = (
-        ds.map_batches(sigs, batch_format="pyarrow", batch_size=512)
-        .groupby("bucket")
-        .map_groups(dd.band_bucket_pairs, batch_format="pandas")
-    )
-    npb = max(wf, dd.derive_buckets(n_vecs, rows_per_doc=2, floor=16))
-
-    def bucketize_pairs(df):
-        a = df["doc_id_a"].to_numpy(np.int64)
-        b = df["doc_id_b"].to_numpy(np.int64)
-        return pd.DataFrame({
-            "doc_id_a": a, "doc_id_b": b,
-            "pair_bucket": ((a * 1_000_003 + b) % npb).astype("int32")})
-
-    cand = (
-        pairs.map_batches(bucketize_pairs, batch_format="pandas")
-        .groupby("pair_bucket")
-        .map_groups(dd.dedup_pairs, batch_format="pandas")
-        .materialize()  # candidate-pair-sized (LSH contract)
-    )
+    pairs = dd.bucketed_close(
+        ds, "band_key", dd.band_bucket_pairs, rows=n_vecs, rows_per_doc=4,
+        floor=max(wf, 32), partial=sigs, batch_size=512)
+    cand = dd.bucketed_close(
+        pairs, ["doc_id_a", "doc_id_b"], dd.dedup_pairs, rows=n_vecs,
+        rows_per_doc=2, floor=max(wf, 16),
+    ).materialize()  # candidate-pair-sized (LSH contract)
 
     # gather candidate vectors once, broadcast float64 matrix
     ids_pd = cand.to_pandas()
@@ -10154,7 +10041,7 @@ def q_fuzzy_contamination(sf_dir: str):
     nothing new shuffles."""
     import pandas as pd
 
-    pairs = _prefix_jaccard(sf_dir, use_df_order=False)
+    pairs = q_prefix_jaccard_dups(sf_dir)
     df = pairs.to_pandas()  # verified-pair-sized (prefix-join contract)
     if not len(df):
         return pd.DataFrame({

@@ -97,12 +97,10 @@ class CmsCandidateCountStage:
     counts. The grid travels by ray.put ref (once per worker, not per
     batch)."""
 
-    def __init__(self, grid_ref, key_col: str, threshold: int,
-                 n_buckets: int) -> None:
+    def __init__(self, grid_ref, key_col: str, threshold: int) -> None:
         self._grid_ref = grid_ref
         self._key = key_col
         self._thr = threshold
-        self._nb = n_buckets
         self._grid = None
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -113,8 +111,7 @@ class CmsCandidateCountStage:
         ids = batch.column(self._key).to_numpy(zero_copy_only=False)
         empty = pa.Table.from_pydict(
             {self._key: pa.array([], pa.int64()),
-             "n": pa.array([], pa.int64()),
-             "bucket": pa.array([], pa.int32())})
+             "n": pa.array([], pa.int64())})
         if len(ids) == 0:
             return empty
         keys, counts = np.unique(ids, return_counts=True)
@@ -124,6 +121,4 @@ class CmsCandidateCountStage:
         keys, counts = keys[keep], counts[keep]
         return pa.Table.from_pydict(
             {self._key: pa.array(keys.astype(np.int64), pa.int64()),
-             "n": pa.array(counts.astype(np.int64), pa.int64()),
-             "bucket": pa.array((keys % self._nb).astype(np.int32),
-                                pa.int32())})
+             "n": pa.array(counts.astype(np.int64), pa.int64())})

@@ -6,13 +6,18 @@ Scale design (the 100 TB story):
   shuffle moves 32-byte keys + ids, never text;
 - MinHash+LSH: per-batch shingle→signature (O(doc) work, no shuffle),
   explode to (band_key, doc_id) rows — 16 small rows per doc — then
-  ``groupby(band_key)`` emits candidate pairs per bucket; pairs are
-  verified by exact shingle Jaccard only for candidates. Bucket skew is
-  bounded: a bucket with B docs emits B·(B−1)/2 pairs, so buckets are
-  capped (deterministically, by sorted doc_id) and the cap is logged in
-  the result;
+  an exchange keyed on band_key emits candidate pairs per band; pairs
+  are verified by exact shingle Jaccard only for candidates. Band skew
+  is bounded: a band with B docs emits B·(B−1)/2 pairs, so bands are
+  capped (deterministically, by sorted doc_id) at MAX_BUCKET;
 - SimHash: 4×16-bit bands of the 64-bit fingerprint; same
-  groupby-band → verify (hamming) shape.
+  band-exchange → verify (hamming) shape.
+
+Every hash exchange here is one ``bucketed_close`` call, and
+``bucket_ids`` is the one function that maps a key to a bucket: the
+stages below emit key columns only, never a bucket column, so the legs
+of a tagged-union exchange (shingle sets ∪ pair requests, edges ∪
+labels) can never hash one key differently.
 
 The reference has no near-dedup at all (SURVEY.md §2.7); this is new
 first-class capability.
@@ -49,29 +54,53 @@ def derive_buckets(n_rows: int, rows_per_doc: int = 1,
     one group holds ≈``target`` rows ((n_rows · rows_per_doc) / target,
     min ``floor``). Per-bucket memory stays flat as the corpus grows;
     group count grows instead, which Ray's hash shuffle absorbs.
-    ``bucketed_close`` is its caller for every key-co-locating close;
-    the LSH / shingle / pair-emission stages below take an explicit
-    count from their query, and the registry also sizes native-join
-    partition counts with it."""
+    ``bucketed_close`` is its caller for every key-co-locating close,
+    and the registry also sizes native-join partition counts with
+    it."""
     total = max(1, n_rows) * max(1, rows_per_doc)
     return max(floor, -(-total // max(1, target)))
 
 
+def _key_array(col) -> np.ndarray:
+    """One key column as numpy, each item ``str()``-ing like the
+    column's Python value (so a string key's crc32 never depends on
+    the batch format): Arrow strings and null-free integers convert in
+    C, other Arrow types (nulls, timestamps) through ``to_pylist``,
+    which builds every item in Python, ~10× slower on strings."""
+    if not isinstance(col, (pa.Array, pa.ChunkedArray)):
+        return col.to_numpy() if hasattr(col, "to_numpy") else np.asarray(col)
+    t = col.type
+    if (pa.types.is_string(t) or pa.types.is_large_string(t)
+            or (pa.types.is_integer(t) and col.null_count == 0)):
+        return col.to_numpy(zero_copy_only=False)
+    out = np.empty(len(col), object)
+    out[:] = col.to_pylist()
+    return out
+
+
 def bucket_ids(keys, nb: int) -> np.ndarray:
     """``bucket`` values for one batch's key columns (each a list,
-    numpy array, pandas Series or Arrow column). One integer column
-    hashes as ``key % nb``; a string key, or several columns joined
-    with ``|``, as ``crc32(utf-8) % nb``. Process-stable, so every
-    row of a key lands in the same bucket whichever task computes it."""
-    if len(keys) == 1:
-        col = keys[0]
-        arr = col.to_numpy() if hasattr(col, "to_numpy") else np.asarray(col)
-        if arr.dtype.kind in "iu":
-            return (arr % nb).astype(np.int32)
-        strs = col.to_pylist() if isinstance(col, pa.ChunkedArray) else arr
+    numpy array, pandas Series or Arrow column): the registry's one
+    key→bucket hash. One integer column hashes as ``key % nb``;
+    several integer columns as (a·2654435761 + b) mod 2^64, folded
+    left over the columns, then ``% nb`` (uint64, so it wraps safely
+    for any id); a string key, or any key with a non-integer column,
+    as crc32 of its ``|``-joined utf-8 text % nb. Process-stable, so
+    every row of a key lands in the same bucket whichever task (and
+    whichever leg of a union) computes it."""
+    arrs = [_key_array(c) for c in keys]
+    if all(a.dtype.kind in "iu" for a in arrs):
+        if len(arrs) == 1:
+            return (arrs[0] % nb).astype(np.int32)
+        h = arrs[0].astype(np.uint64)
+        for a in arrs[1:]:
+            h = h * np.uint64(2654435761) + a.astype(np.uint64)
+        return (h % np.uint64(nb)).astype(np.int32)
+    if len(arrs) == 1:
+        strs = arrs[0]
     else:
-        cols = [c.to_pylist() if isinstance(c, (pa.Array, pa.ChunkedArray))
-                else list(c) for c in keys]
+        cols = [a if isinstance(c, (pa.Array, pa.ChunkedArray)) else list(c)
+                for c, a in zip(keys, arrs)]
         strs = ["|".join(map(str, t)) for t in zip(*cols)]
     return np.fromiter((zlib.crc32(str(s).encode()) % nb for s in strs),
                        np.int32, len(strs))
@@ -82,8 +111,8 @@ def bucketed_close(ds, key, close, *, rows: int = 0,
                    union=(), batch_format: str = "pyarrow", **map_kw):
     """The registry's bucketed exchange, in one place: map ``partial``
     over ``ds`` (and each extra ``(dataset, partial)`` leg of
-    ``union``), append ``bucket`` = hash(``key``) % nb inside that same
-    map task and batch format (see ``bucket_ids``), then
+    ``union``), append ``bucket`` = ``bucket_ids(key, nb)`` — the one
+    key→bucket hash — inside that same map task and batch format, then
     ``groupby("bucket").map_groups(close)`` over pandas groups. Every
     row of a key meets in one group, so a close that reduces per key
     gives the same rows for any bucket count.
@@ -120,16 +149,17 @@ def bucketed_close(ds, key, close, *, rows: int = 0,
 
 
 def width_floor(per_cpu: int = 4, default_cpus: int = 8) -> int:
-    """Cluster-width bucket floor for PAIR-EMITTING bucketed reduces
-    (band→candidate-pair, pair-dedup), and the ``floor`` of the
-    ``bucketed_close`` calls whose output is as large as their
-    exchange (postings, substring windows): their per-group OUTPUT can fan
-    out far past the input-row estimate derive_buckets sees (a
+    """Cluster-width bucket ``floor`` of the ``bucketed_close`` calls
+    that emit pairs (band→candidate-pair, pair-dedup) or whose output
+    is as large as their exchange (postings, substring windows). It
+    sets only the bucket count: ``bucket_ids``, the one key→bucket
+    hash, still places each key. Their per-group OUTPUT can fan out
+    far past the input-row estimate derive_buckets sees (a
     near-dup-family corpus emits ~10^3 pairs per input band row), so
     a size-derived count that undershoots leaves most of the cluster
     idle during the heaviest stage. Results are bucket-count-
-    independent by construction (buckets are modulo partition keys;
-    the MAX_BUCKET candidate cap is per band_key, not per bucket), so
+    independent by construction (every close reduces per key; the
+    MAX_BUCKET candidate cap is per band_key, not per bucket), so
     scaling group count with cluster width is always safe. Measured:
     1M-doc ×200 near-dup corpus, simhash pair stages 16→128 buckets
     at 32 CPUs = 72.6 s → 32.2 s, identical 6,099,214 output rows."""
@@ -144,65 +174,46 @@ def width_floor(per_cpu: int = 4, default_cpus: int = 8) -> int:
     return per_cpu * default_cpus
 
 
-class MinHashStage:
-    """doc → 16 (bucket, band_key, doc_id) rows. Signature params fixed
-    (64 perms, 16 bands × 4 rows ≈ Jaccard 0.5+ sensitivity).
-    ``bucket = band_key % n_buckets`` is the explicit hash
-    partitioning key for the candidate-pair shuffle (few big groups
-    with vectorized pair emission instead of one Python call per
-    band); ``n_buckets`` is size-derived by the caller."""
-
-    def __init__(self, k_shingle: int = 3,
-                 n_buckets: int = 32) -> None:
-        self.k = k_shingle
-        self.n_buckets = n_buckets
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        band_keys: list[int] = []
-        doc_ids: list[int] = []
-        for doc_id, text in zip(batch.column("doc_id").to_pylist(),
-                                batch.column("text").to_pylist()):
-            sig = minhash_signature(shingles(text, self.k))
-            for key in lsh_band_keys(sig):
-                band_keys.append(key)
-                doc_ids.append(doc_id)
-        return pa.Table.from_pydict(
-            {"bucket": pa.array([k % self.n_buckets for k in band_keys],
-                                pa.int32()),
-             "band_key": pa.array(band_keys, pa.int64()),
-             "doc_id": pa.array(doc_ids, pa.int64())}
-        )
+def minhash_bands(batch: pa.Table, k_shingle: int = 3) -> pa.Table:
+    """doc → 16 (band_key, doc_id) rows. Signature params fixed
+    (64 perms, 16 bands × 4 rows ≈ Jaccard 0.5+ sensitivity); the
+    candidate-pair exchange is keyed on band_key (few big groups with
+    vectorized pair emission instead of one Python call per band)."""
+    band_keys: list[int] = []
+    doc_ids: list[int] = []
+    for doc_id, text in zip(batch.column("doc_id").to_pylist(),
+                            batch.column("text").to_pylist()):
+        sig = minhash_signature(shingles(text, k_shingle))
+        for key in lsh_band_keys(sig):
+            band_keys.append(key)
+            doc_ids.append(doc_id)
+    return pa.Table.from_pydict(
+        {"band_key": pa.array(band_keys, pa.int64()),
+         "doc_id": pa.array(doc_ids, pa.int64())})
 
 
-class SimHashStage:
-    """doc → 4 (bucket, band_key, doc_id, simhash) rows (16-bit
-    bands); bucket as in MinHashStage."""
-
-    def __init__(self, n_buckets: int = 32) -> None:
-        self.n_buckets = n_buckets
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        band_keys: list[int] = []
-        doc_ids: list[int] = []
-        hashes: list[int] = []
-        for doc_id, text in zip(batch.column("doc_id").to_pylist(),
-                                batch.column("text").to_pylist()):
-            sh = simhash64(text)
-            signed = sh - (1 << 64) if sh >= (1 << 63) else sh
-            for band in range(4):
-                chunk = (sh >> (band * 16)) & 0xFFFF
-                band_keys.append((band << 16) | chunk)
-                doc_ids.append(doc_id)
-                hashes.append(signed)
-        return pa.Table.from_pydict(
-            {
-                "bucket": pa.array([k % self.n_buckets for k in band_keys],
-                                   pa.int32()),
-                "band_key": pa.array(band_keys, pa.int64()),
-                "doc_id": pa.array(doc_ids, pa.int64()),
-                "simhash": pa.array(hashes, pa.int64()),
-            }
-        )
+def simhash_bands(batch: pa.Table) -> pa.Table:
+    """doc → 4 (band_key, doc_id, simhash) rows (16-bit bands); keyed
+    as in minhash_bands."""
+    band_keys: list[int] = []
+    doc_ids: list[int] = []
+    hashes: list[int] = []
+    for doc_id, text in zip(batch.column("doc_id").to_pylist(),
+                            batch.column("text").to_pylist()):
+        sh = simhash64(text)
+        signed = sh - (1 << 64) if sh >= (1 << 63) else sh
+        for band in range(4):
+            chunk = (sh >> (band * 16)) & 0xFFFF
+            band_keys.append((band << 16) | chunk)
+            doc_ids.append(doc_id)
+            hashes.append(signed)
+    return pa.Table.from_pydict(
+        {
+            "band_key": pa.array(band_keys, pa.int64()),
+            "doc_id": pa.array(doc_ids, pa.int64()),
+            "simhash": pa.array(hashes, pa.int64()),
+        }
+    )
 
 
 def band_bucket_pairs(group):
@@ -285,43 +296,34 @@ def _word_shingles(text: str, k: int = NGRAM_K) -> set[str]:
     return {" ".join(tk[i : i + k]) for i in range(len(tk) - k + 1)}
 
 
-def shingle_rows(batch: pa.Table, n_buckets: int = 32) -> pa.Table:
-    """doc → one row per distinct word-3gram:
-    (bucket, shingle, doc_id, n_sh).
-
-    ``bucket = crc32(shingle) % n_buckets`` is the explicit hash
-    partitioning key: the downstream groupby shuffles into only
-    n_buckets groups (all rows of a shingle share a bucket), and
-    pair emission is vectorized within each bucket; ``n_buckets`` is
-    size-derived by the caller (derive_buckets). n_sh is
-    denormalized onto every row so the pair stage never needs a sizes
-    join/broadcast (an int per row beats a 10^12-entry dict)."""
-    import zlib
-
+def shingle_rows(batch: pa.Table) -> pa.Table:
+    """doc → one (shingle, doc_id, n_sh) row per distinct word-3gram.
+    The posting exchange is keyed on shingle, so all rows of a shingle
+    meet in one group and pair emission is vectorized within it. n_sh
+    is denormalized onto every row so the pair stage never needs a
+    sizes join/broadcast (an int per row beats a 10^12-entry dict)."""
     sh_col: list[str] = []
     id_col: list[int] = []
     n_col: list[int] = []
-    b_col: list[int] = []
     for doc_id, text in zip(batch.column("doc_id").to_pylist(),
                             batch.column("text").to_pylist()):
         ss = _word_shingles(text or "")
         sh_col.extend(ss)
         id_col.extend([doc_id] * len(ss))
         n_col.extend([len(ss)] * len(ss))
-        b_col.extend(zlib.crc32(s.encode()) % n_buckets for s in ss)
     return pa.Table.from_pydict(
-        {"bucket": pa.array(b_col, pa.int32()),
-         "shingle": pa.array(sh_col, pa.string()),
+        {"shingle": pa.array(sh_col, pa.string()),
          "doc_id": pa.array(id_col, pa.int64()),
          "n_sh": pa.array(n_col, pa.int64())}
     )
 
 
-def shingle_partition_pairs(batch: pa.Table, n_pair_buckets: int = 32) -> pa.Table:
-    """One hash bucket of (shingle, doc_id, n_sh) posting rows →
-    co-occurring doc pairs (a<b) for every shingle in the bucket (the
-    bucket key guarantees a shingle's full posting list is present).
-    Hot shingles (df > NGRAM_DF_CAP) emit nothing.
+def shingle_partition_pairs(df) -> pa.Table:
+    """One bucket (pandas) of (shingle, doc_id, n_sh) posting rows →
+    co-occurring doc pairs (doc_id_a, doc_id_b, na, nb), a<b, for every
+    shingle in the bucket (the exchange is keyed on shingle, so a
+    shingle's full posting list is present). Hot shingles
+    (df > NGRAM_DF_CAP) emit nothing.
 
     Vectorized: pandas sort groups the runs, numpy emits the pair
     index triangles — ~30× faster than a per-group ``map_groups``
@@ -329,57 +331,36 @@ def shingle_partition_pairs(batch: pa.Table, n_pair_buckets: int = 32) -> pa.Tab
     5k docs)."""
     import numpy as np
 
-    df = batch.select(["shingle", "doc_id", "n_sh"]).to_pandas()
-    if not len(df):
-        return pa.Table.from_pydict(
-            {"doc_id_a": pa.array([], pa.int64()),
-             "doc_id_b": pa.array([], pa.int64()),
-             "na": pa.array([], pa.int64()),
-             "nb": pa.array([], pa.int64())}
-        )
-    df = df.sort_values(["shingle", "doc_id"], kind="mergesort")
-    ids = df["doc_id"].to_numpy()
-    ns = df["n_sh"].to_numpy()
-    sh = df["shingle"].to_numpy()
-    # run-length boundaries of the sorted shingle column
-    change = np.empty(len(sh), dtype=bool)
-    change[0] = True
-    change[1:] = sh[1:] != sh[:-1]
-    starts = np.flatnonzero(change)
-    counts = np.diff(np.append(starts, len(sh)))
-
     out_a, out_b, out_na, out_nb = [], [], [], []
-    for s, c in zip(starts, counts):
-        if c < 2 or c > NGRAM_DF_CAP:
-            continue
-        gi = ids[s : s + c]
-        gn = ns[s : s + c]
-        iu, ju = np.triu_indices(int(c), 1)
-        out_a.append(gi[iu])
-        out_b.append(gi[ju])
-        out_na.append(gn[iu])
-        out_nb.append(gn[ju])
-    if not out_a:
-        return pa.Table.from_pydict(
-            {"pair_bucket": pa.array([], pa.int32()),
-             "doc_id_a": pa.array([], pa.int64()),
-             "doc_id_b": pa.array([], pa.int64()),
-             "na": pa.array([], pa.int64()),
-             "nb": pa.array([], pa.int64())}
-        )
-    a = np.concatenate(out_a)
-    b = np.concatenate(out_b)
-    # explicit hash partitioning for the pair-count shuffle: the same
-    # (a,b) pair from different shingle buckets must meet again, but
-    # in one of only n_pair_buckets groups (vectorized combine inside)
-    pb = ((a * 2654435761 + b) % n_pair_buckets).astype(np.int32)
+    if len(df):
+        df = df.sort_values(["shingle", "doc_id"], kind="mergesort")
+        ids = df["doc_id"].to_numpy()
+        ns = df["n_sh"].to_numpy()
+        sh = df["shingle"].to_numpy()
+        # run-length boundaries of the sorted shingle column
+        change = np.empty(len(sh), dtype=bool)
+        change[0] = True
+        change[1:] = sh[1:] != sh[:-1]
+        starts = np.flatnonzero(change)
+        counts = np.diff(np.append(starts, len(sh)))
+        for s, c in zip(starts, counts):
+            if c < 2 or c > NGRAM_DF_CAP:
+                continue
+            gi = ids[s : s + c]
+            gn = ns[s : s + c]
+            iu, ju = np.triu_indices(int(c), 1)
+            out_a.append(gi[iu])
+            out_b.append(gi[ju])
+            out_na.append(gn[iu])
+            out_nb.append(gn[ju])
+
+    def col(parts):
+        return pa.array(np.concatenate(parts) if parts
+                        else np.empty(0, np.int64), pa.int64())
+
     return pa.Table.from_pydict(
-        {"pair_bucket": pa.array(pb),
-         "doc_id_a": pa.array(a, pa.int64()),
-         "doc_id_b": pa.array(b, pa.int64()),
-         "na": pa.array(np.concatenate(out_na), pa.int64()),
-         "nb": pa.array(np.concatenate(out_nb), pa.int64())}
-    )
+        {"doc_id_a": col(out_a), "doc_id_b": col(out_b),
+         "na": col(out_na), "nb": col(out_nb)})
 
 
 def pair_bucket_jaccard(group, threshold_micro: int):
@@ -397,52 +378,18 @@ def pair_bucket_jaccard(group, threshold_micro: int):
     return out.reset_index(drop=True)
 
 
-def shingle_df_partials(batch: pa.Table) -> pa.Table:
-    """Per-batch (shingle_hash, df) partial counts over DISTINCT
-    per-doc shingles — the df pass feeding PPJoin's df-ascending
-    prefix order (rarest shingles first ⇒ smallest posting lists)."""
-    import numpy as np
-
-    hs: list = []
-    for text in batch.column("text").to_pylist():
-        ss = shingles(text or "")
-        if ss:
-            hs.append(np.fromiter(ss, dtype=np.uint64,
-                                  count=len(ss)).astype(np.int64))
-    if not hs:
-        return pa.Table.from_pydict(
-            {"sh": pa.array([], pa.int64()),
-             "df": pa.array([], pa.int64())})
-    u, c = np.unique(np.concatenate(hs), return_counts=True)
-    return pa.Table.from_pydict(
-        {"sh": pa.array(u, pa.int64()),
-         "df": pa.array(c.astype(np.int64), pa.int64())})
-
-
-def prefix_posting_rows(batch: pa.Table, n_buckets: int,
-                        tau_num: int = 6, tau_den: int = 10,
-                        df_ref=None) -> pa.Table:
-    """doc → one posting row per PREFIX shingle hash (prefix
-    filtering, SSJoin family): under ANY global total order on
+def prefix_posting_rows(batch: pa.Table, tau_num: int = 6,
+                        tau_den: int = 10) -> pa.Table:
+    """doc → one (sh, doc_id, n_sh) posting row per PREFIX shingle hash
+    (prefix filtering, SSJoin family): under ANY global total order on
     shingles, two sets with Jaccard ≥ τ must share a token inside
     each one's first p = n − ⌈τ·n⌉ + 1 tokens (proof sketch in
     pipelines/queries.q_prefix_jaccard_dups), so only those enter the
     inverted index — the posting exchange shrinks from O(Σn) to
-    O(Σ(1−τ)n) with NO recall loss. Order (any total order is sound
-    by the theorem): PPJoin's df-ascending (df, hash) order when a
-    broadcast df map is supplied (rarest shingles land in prefixes ⇒
-    posting-list triangles stay tiny), else the broadcast-free
-    unsigned-hash order (the vocabulary-unbounded fallback; its hot
-    prefixes cost candidates, not correctness)."""
+    O(Σ(1−τ)n) with NO recall loss. Order: the broadcast-free
+    unsigned-hash order (any total order is sound by the theorem; its
+    hot prefixes cost candidates, not correctness)."""
     import numpy as np
-
-    df_keys = df_vals = None
-    if df_ref is not None:
-        from .similarity import resolve_broadcast
-
-        # (sorted int64 shingle hashes, aligned dfs) — searchsorted
-        # lookup, no per-shingle Python
-        df_keys, df_vals = resolve_broadcast(df_ref, key="prefix-df")
 
     sh_col: list = []
     id_col: list[int] = []
@@ -455,31 +402,21 @@ def prefix_posting_rows(batch: pa.Table, n_buckets: int,
             continue
         arr = np.sort(np.fromiter(ss, dtype=np.uint64, count=n))
         p = n - (-(-tau_num * n // tau_den)) + 1  # n − ceil(τn) + 1
-        if df_keys is not None:
-            sarr = arr.astype(np.int64)
-            pos = np.searchsorted(df_keys, sarr)
-            dfs = df_vals[np.minimum(pos, len(df_vals) - 1)]
-            dfs = np.where(df_keys[np.minimum(pos, len(df_keys) - 1)]
-                           == sarr, dfs, 1)
-            order = np.lexsort((sarr, dfs))  # (df asc, hash asc)
-            pre = sarr[order[:p]]
-        else:
-            pre = arr[:p].astype(np.int64)
+        pre = arr[:p].astype(np.int64)
         sh_col.append(pre)
         id_col.extend([doc_id] * len(pre))
         n_col.extend([n] * len(pre))
     sh = (np.concatenate(sh_col) if sh_col
           else np.empty(0, np.int64))
     return pa.Table.from_pydict(
-        {"bucket": pa.array((sh % n_buckets).astype(np.int32)),
-         "sh": pa.array(sh, pa.int64()),
+        {"sh": pa.array(sh, pa.int64()),
          "doc_id": pa.array(id_col, pa.int64()),
          "n_sh": pa.array(n_col, pa.int64())})
 
 
-def prefix_partition_pairs(batch: pa.Table, tau_num: int = 6,
+def prefix_partition_pairs(df, tau_num: int = 6,
                            tau_den: int = 10) -> pa.Table:
-    """One hash bucket of prefix posting rows → candidate doc pairs
+    """One bucket (pandas) of prefix posting rows → candidate doc pairs
     (a<b) co-occurring on a prefix shingle, LENGTH-FILTERED (J ≥ τ
     needs min(n)·den ≥ max(n)·num — the standard size filter, applied
     before anything shuffles again). No df cap: prefix filtering is
@@ -488,7 +425,6 @@ def prefix_partition_pairs(batch: pa.Table, tau_num: int = 6,
     prefix_posting_rows)."""
     import numpy as np
 
-    df = batch.select(["sh", "doc_id", "n_sh"]).to_pandas()
     empty = pa.Table.from_pydict(
         {"doc_id_a": pa.array([], pa.int64()),
          "doc_id_b": pa.array([], pa.int64())})
@@ -558,38 +494,28 @@ def pair_bucket_containment(group, threshold_micro: int):
 #
 # SimHash: the carried sh_a/sh_b columns are all the verify needs →
 #   one vectorized map_batches (numpy XOR + popcount) filters by
-#   hamming, then a bucketed groupby drops the duplicate pairs that
+#   hamming, then a pair-keyed exchange drops the duplicate pairs that
 #   multiple matching bands emit. Nothing but int64 triples shuffle.
 #
 # MinHash: exact shingle-set Jaccard needs the two docs' shingle-hash
-#   sets. Shape: (1) dedup candidate pairs (bucketed groupby);
-#   (2) broadcast the candidate DOC-ID SET (ints only, O(candidates) —
-#   the legitimate small side; never the corpus text) and re-shingle
-#   just those docs in map_batches; (3) hash-partition shingle sets and
-#   pair-halves by doc_id and attach each half's set (bucketed
-#   groupby); (4) regroup by pair and compute integer-exact Jaccard.
-#   Only candidate docs' shingle hashes shuffle — candidates ≪ corpus
+#   sets. Shape: (1) broadcast the candidate DOC-ID SET (ints only,
+#   O(candidates) — the legitimate small side; never the corpus text)
+#   and re-shingle just those docs in map_batches; (2) a doc_id-keyed
+#   exchange of shingle sets ∪ pair-halves attaches each half's set
+#   (duplicate pairs dropped there); (3) a pair-keyed exchange computes
+#   integer-exact Jaccard. Only candidate docs' shingle hashes
+#   shuffle — candidates ≪ corpus
 #   by LSH construction.
 
 
-def _pair_bucket_arr(a, b, n_buckets: int):
-    import numpy as np
-
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    return ((a * 2654435761 + b) % n_buckets).astype(np.int32)
-
-
-def hamming_filter_pairs(batch: pa.Table, max_hamming: int,
-                         n_pair_buckets: int) -> pa.Table:
+def hamming_filter_pairs(batch: pa.Table, max_hamming: int) -> pa.Table:
     """Vectorized SimHash verify: popcount(sh_a XOR sh_b) ≤ max →
-    (pair_bucket, doc_id_a, doc_id_b, hamming)."""
+    (doc_id_a, doc_id_b, hamming)."""
     import numpy as np
 
     if batch.num_rows == 0 or "sh_a" not in batch.column_names:
         return pa.Table.from_pydict(
-            {"pair_bucket": pa.array([], pa.int32()),
-             "doc_id_a": pa.array([], pa.int64()),
+            {"doc_id_a": pa.array([], pa.int64()),
              "doc_id_b": pa.array([], pa.int64()),
              "hamming": pa.array([], pa.int64())})
     sa = batch.column("sh_a").to_numpy().astype(np.uint64)  # zero-copy view
@@ -598,12 +524,9 @@ def hamming_filter_pairs(batch: pa.Table, max_hamming: int,
     ham = np.unpackbits(x.view(np.uint8).reshape(len(x), 8), axis=1).sum(
         axis=1).astype(np.int64)
     keep = ham <= max_hamming
-    a = batch.column("doc_id_a").to_numpy()[keep]
-    b = batch.column("doc_id_b").to_numpy()[keep]
     return pa.Table.from_pydict(
-        {"pair_bucket": pa.array(_pair_bucket_arr(a, b, n_pair_buckets)),
-         "doc_id_a": pa.array(a),
-         "doc_id_b": pa.array(b),
+        {"doc_id_a": pa.array(batch.column("doc_id_a").to_numpy()[keep]),
+         "doc_id_b": pa.array(batch.column("doc_id_b").to_numpy()[keep]),
          "hamming": pa.array(ham[keep])})
 
 
@@ -613,15 +536,14 @@ def dedup_pairs(group, a: str = "doc_id_a", b: str = "doc_id_b"):
     return (
         group.sort_values([a, b], kind="mergesort")
         .drop_duplicates([a, b])
-        .drop(columns=["pair_bucket"])
+        .drop(columns=["bucket"])
         .reset_index(drop=True)
     )
 
 
 _SH_LIST = pa.list_(pa.int64())
 _FETCH_SCHEMA = pa.schema([
-    pa.field("jb", pa.int32()),        # doc-id hash bucket (the join key)
-    pa.field("doc_id", pa.int64()),
+    pa.field("doc_id", pa.int64()),    # the exchange key
     pa.field("pair_a", pa.int64()),    # -1 on shingle-set rows
     pa.field("pair_b", pa.int64()),
     pa.field("sh", _SH_LIST),          # sorted shingle hashes (doc rows)
@@ -629,22 +551,14 @@ _FETCH_SCHEMA = pa.schema([
 ])
 
 
-def _doc_bucket_arr(ids, n_buckets: int):
-    import numpy as np
-
-    ids = np.asarray(ids, dtype=np.int64)
-    return ((ids * 2654435761) % n_buckets).astype(np.int32)
-
-
 class ShingleSetStage:
-    """Candidate docs → (jb, doc_id, -1, -1, sorted shingle hashes,
-    n_sh). The candidate doc-id set is the broadcast small side
-    (ray.put of a frozenset of ints); non-candidate docs emit
-    nothing, so only candidate shingle sets ever shuffle."""
+    """Candidate docs → (doc_id, -1, -1, sorted shingle hashes, n_sh).
+    The candidate doc-id set is the broadcast small side (ray.put of a
+    frozenset of ints); non-candidate docs emit nothing, so only
+    candidate shingle sets ever shuffle."""
 
-    def __init__(self, cand_ref, n_buckets: int, k_shingle: int = 3) -> None:
+    def __init__(self, cand_ref, k_shingle: int = 3) -> None:
         self._cand_ref = cand_ref  # resolved lazily in the worker
-        self.n_buckets = n_buckets
         self.k = k_shingle
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -667,8 +581,7 @@ class ShingleSetStage:
             sh_out.append(arr)
             n_out.append(len(ss))
         return pa.Table.from_arrays(
-            [pa.array(_doc_bucket_arr(ids_out, self.n_buckets)),
-             pa.array(ids_out, pa.int64()),
+            [pa.array(ids_out, pa.int64()),
              pa.array([-1] * len(ids_out), pa.int64()),
              pa.array([-1] * len(ids_out), pa.int64()),
              pa.array(sh_out, _SH_LIST),
@@ -676,9 +589,9 @@ class ShingleSetStage:
             schema=_FETCH_SCHEMA)
 
 
-def pair_fetch_requests(batch: pa.Table, n_buckets: int) -> pa.Table:
+def pair_fetch_requests(batch: pa.Table) -> pa.Table:
     """Each unique pair (a, b) → two request rows, one per doc side,
-    bucketed by that side's doc_id (same key as ShingleSetStage)."""
+    keyed on that side's doc_id (same key as ShingleSetStage)."""
     a = batch.column("doc_id_a").to_pylist()
     b = batch.column("doc_id_b").to_pylist()
     doc = list(a) + list(b)
@@ -686,8 +599,7 @@ def pair_fetch_requests(batch: pa.Table, n_buckets: int) -> pa.Table:
     pb_col = list(b) + list(b)
     n = len(doc)
     return pa.Table.from_arrays(
-        [pa.array(_doc_bucket_arr(doc, n_buckets)),
-         pa.array(doc, pa.int64()),
+        [pa.array(doc, pa.int64()),
          pa.array(pa_col, pa.int64()),
          pa.array(pb_col, pa.int64()),
          pa.array([[]] * n, _SH_LIST),
@@ -695,12 +607,13 @@ def pair_fetch_requests(batch: pa.Table, n_buckets: int) -> pa.Table:
         schema=_FETCH_SCHEMA)
 
 
-def attach_shingles(group, n_pair_buckets: int):
+def attach_shingles(group):
     """One doc-id bucket of shingle-set rows + request rows → request
-    rows with their doc's shingle set attached, re-bucketed by pair.
-    Duplicate requests (the same pair emitted by several matching
-    bands) are dropped here — inside the shuffle the pipeline already
-    pays for — so no dedicated pair-dedup shuffle is needed."""
+    rows (pair_a, pair_b, sh, n_sh) with their doc's shingle set
+    attached, for the pair-keyed exchange. Duplicate requests (the
+    same pair emitted by several matching bands) are dropped here —
+    inside the shuffle the pipeline already pays for — so no dedicated
+    pair-dedup shuffle is needed."""
     docs = group[group["pair_a"] < 0]
     reqs = group[group["pair_a"] >= 0].drop_duplicates(
         ["doc_id", "pair_a", "pair_b"])
@@ -710,13 +623,11 @@ def attach_shingles(group, n_pair_buckets: int):
     out_sh = [sh_of[d] for d in reqs["doc_id"]]
     out_n = [int(n_of[d]) for d in reqs["doc_id"]]
     return pa.Table.from_arrays(
-        [pa.array(_pair_bucket_arr(reqs["pair_a"], reqs["pair_b"],
-                                   n_pair_buckets)),
-         pa.array(reqs["pair_a"].astype("int64").to_numpy()),
+        [pa.array(reqs["pair_a"].astype("int64").to_numpy()),
          pa.array(reqs["pair_b"].astype("int64").to_numpy()),
          pa.array(out_sh, _SH_LIST),
          pa.array(out_n, pa.int64())],
-        names=["pb", "pair_a", "pair_b", "sh", "n_sh"])
+        names=["pair_a", "pair_b", "sh", "n_sh"])
 
 
 def pair_shingle_jaccard(group, threshold_micro: int):
@@ -760,57 +671,42 @@ def pair_shingle_jaccard(group, threshold_micro: int):
 # components are LSH band cliques glued at shared docs, so diameters
 # are tiny (2-3 rounds in practice).
 #
-# Per round: one bucketed groupby joins labels to outgoing edges (the
-# tagged-union idiom used by attach_shingles above) + one groupby-min
-# over message targets + one scalar sum() for the convergence probe.
+# Per round: one src-keyed bucketed_close joins labels to outgoing
+# edges (the tagged-union idiom used by attach_shingles above) + one
+# node-keyed min over message targets + one scalar sum() for the
+# convergence probe.
 # Only int64 (node, label) rows shuffle; the edge set is materialized
 # once and reused every round.
 
 
-def _cc_bucket(ids, n_buckets: int):
-    """The one node→bucket hash every cc_* stage shares. Correctness
-    of the label→edge join depends on edges (by src), label rows (by
-    node) and messages (by target) all hashing IDENTICALLY — hence a
-    single helper, uint64 math so 10^12-scale ids cannot overflow."""
-    import numpy as np
-
-    ids = np.asarray(ids)
-    return ((ids.astype(np.uint64) * np.uint64(2654435761))
-            % np.uint64(max(1, n_buckets))).astype(np.int32)
-
-
-def cc_edge_rows(batch: pa.Table, n_buckets: int) -> pa.Table:
-    """Verified pairs → directed edge rows (eb, kind=0, src, dst):
-    both directions plus a self loop per endpoint (the self loop is
-    what lets a node KEEP its current label when no neighbor improves
-    it). ``eb = hash(src) % n_buckets`` is the explicit partitioning
-    key — a node's outgoing edges meet its label row in one group."""
+def cc_edge_rows(batch: pa.Table) -> pa.Table:
+    """Verified pairs → directed edge rows (kind=0, src, dst): both
+    directions plus a self loop per endpoint (the self loop is what
+    lets a node KEEP its current label when no neighbor improves it).
+    The propagate exchange is keyed on src, so a node's outgoing edges
+    meet its label row in one group."""
     import numpy as np
 
     a = batch.column("doc_id_a").to_numpy(zero_copy_only=False)
     b = batch.column("doc_id_b").to_numpy(zero_copy_only=False)
     src = np.concatenate([a, b, a, b])
     dst = np.concatenate([b, a, a, b])
-    eb = _cc_bucket(src, n_buckets)
     return pa.Table.from_pydict(
-        {"eb": pa.array(eb),
-         "kind": pa.array(np.zeros(len(src), dtype=np.int8)),
+        {"kind": pa.array(np.zeros(len(src), dtype=np.int8)),
          "src": pa.array(src, pa.int64()),
          "dst": pa.array(dst, pa.int64())})
 
 
-def cc_label_rows(batch: pa.Table, n_buckets: int) -> pa.Table:
-    """Current labels → (eb, kind=1, src=node, dst=label) rows bucketed
-    like the edges, so the union-groupby co-locates them."""
+def cc_label_rows(batch: pa.Table) -> pa.Table:
+    """Current labels → (kind=1, src=node, dst=label) rows, the second
+    leg of the src-keyed exchange."""
     import numpy as np
 
     node_col = "src" if "src" in batch.column_names else "node"
     node = batch.column(node_col).to_numpy(zero_copy_only=False)
     lab = batch.column("lab").to_numpy(zero_copy_only=False)
-    eb = _cc_bucket(node, n_buckets)
     return pa.Table.from_pydict(
-        {"eb": pa.array(eb),
-         "kind": pa.array(np.ones(len(node), dtype=np.int8)),
+        {"kind": pa.array(np.ones(len(node), dtype=np.int8)),
          "src": pa.array(node, pa.int64()),
          "dst": pa.array(lab, pa.int64())})
 
@@ -818,10 +714,10 @@ def cc_label_rows(batch: pa.Table, n_buckets: int) -> pa.Table:
 _CC_NO_OLD = (1 << 62)  # sentinel: "this message is not a self-delivery"
 
 
-def cc_propagate(group, n_buckets: int):
+def cc_propagate(group):
     """One src bucket (pandas) of edges (kind 0) + labels (kind 1) →
-    (nb, node, lab, old) message rows: each edge forwards its source's
-    current label to its target, bucketed by target for the reduce.
+    (node, lab, old) message rows: each edge forwards its source's
+    current label to its target, for the node-keyed reduce.
     Self-loop rows also carry the label in ``old`` (sentinel
     elsewhere), so the reduce can detect convergence EXACTLY — a
     sum-of-labels probe would be subject to int64 wraparound at
@@ -840,10 +736,8 @@ def cc_propagate(group, n_buckets: int):
     m = pd.Series(lab["dst"].to_numpy(), index=lab["src"].to_numpy())
     labs = m.reindex(src).to_numpy().astype(np.int64, copy=False)
     old = np.where(src == dst, labs, np.int64(_CC_NO_OLD))
-    nb = _cc_bucket(dst, n_buckets)
     return pd.DataFrame(
-        {"nb": pd.Series(nb, dtype="int32"),
-         "node": pd.Series(dst, dtype="int64"),
+        {"node": pd.Series(dst, dtype="int64"),
          "lab": pd.Series(labs, dtype="int64"),
          "old": pd.Series(old, dtype="int64")})
 

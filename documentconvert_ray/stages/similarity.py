@@ -519,16 +519,15 @@ class IvfMultiAssign:
              "embedding": pa.array(list(out_m), pa.list_(pa.float64()))})
 
 
-def bucket_cosine_pairs(group, tau: float, n_pair_buckets: int):
-    """One IVF bucket → (pair_bucket, vec_id_a, vec_id_b) for every
-    in-bucket pair with cosine ≥ tau (vectors arrive normalized)."""
+def bucket_cosine_pairs(group, tau: float):
+    """One IVF bucket → (vec_id_a, vec_id_b) for every in-bucket pair
+    with cosine ≥ tau (vectors arrive normalized)."""
     import pandas as pd
 
     vids = group["vec_id"].to_numpy(dtype=np.int64)
     if len(vids) < 2:
         return pd.DataFrame(
-            {"pair_bucket": pd.Series(dtype="int32"),
-             "vec_id_a": pd.Series(dtype="int64"),
+            {"vec_id_a": pd.Series(dtype="int64"),
              "vec_id_b": pd.Series(dtype="int64")})
     mat = np.stack([np.asarray(e, dtype=np.float64)
                     for e in group["embedding"]])
@@ -537,16 +536,13 @@ def bucket_cosine_pairs(group, tau: float, n_pair_buckets: int):
     a = np.minimum(vids[iu], vids[ju])
     b = np.maximum(vids[iu], vids[ju])
     keep = a < b  # a == b when a vector met its own probe duplicate
-    a, b = a[keep], b[keep]
-    pb = ((a * 2654435761 + b) % n_pair_buckets).astype(np.int32)
     return pd.DataFrame(
-        {"pair_bucket": pd.Series(pb, dtype="int32"),
-         "vec_id_a": pd.Series(a, dtype="int64"),
-         "vec_id_b": pd.Series(b, dtype="int64")})
+        {"vec_id_a": pd.Series(a[keep], dtype="int64"),
+         "vec_id_b": pd.Series(b[keep], dtype="int64")})
 
 
 def dedup_vec_pairs(group):
-    """Pair-bucket group → each (a, b) once (probes overlap); shares
+    """Pair-hash bucket → each (a, b) once (probes overlap); shares
     the dedup-stage implementation, keyed on the vec id columns."""
     from .dedup import dedup_pairs
 

@@ -49,17 +49,12 @@ def test_ngram_jaccard_invariant_to_bucket_count(
     import ray.data
 
     ds = ray.data.from_arrow(_docs_table()).repartition(4)
-    rows = ds.map_batches(
-        lambda b: dd.shingle_rows(b, n_buckets), batch_format="pyarrow"
-    )
-    pairs = rows.groupby("bucket").map_groups(
-        lambda g: dd.shingle_partition_pairs(g, n_pair_buckets),
-        batch_format="pyarrow",
-    )
+    pairs = dd.bucketed_close(ds, "shingle", dd.shingle_partition_pairs,
+                              floor=n_buckets, partial=dd.shingle_rows)
     out = (
-        pairs.groupby("pair_bucket")
-        .map_groups(lambda g: dd.pair_bucket_jaccard(g, 600_000),
-                    batch_format="pandas")
+        dd.bucketed_close(pairs, ["doc_id_a", "doc_id_b"],
+                          lambda g: dd.pair_bucket_jaccard(g, 600_000),
+                          floor=n_pair_buckets)
         .to_pandas()
         .sort_values(["doc_id_a", "doc_id_b"])
         .reset_index(drop=True)
@@ -97,7 +92,7 @@ def test_simhash_hamming_filter_vectorized_matches_scalar():
          "doc_id_b": pa.array(range(200, 400), pa.int64()),
          "sh_a": pa.array(sa), "sh_b": pa.array(sb)}
     )
-    out = dd.hamming_filter_pairs(batch, 3, 16)
+    out = dd.hamming_filter_pairs(batch, 3)
     got = dict(zip(out.column("doc_id_a").to_pylist(),
                    out.column("hamming").to_pylist()))
     for i in range(200):
@@ -109,9 +104,10 @@ def test_simhash_hamming_filter_vectorized_matches_scalar():
 
 
 def test_bucket_ids_hash_contract():
-    """An int key buckets as key % nb, a string key as crc32(utf-8) %
-    nb, several columns as crc32 of their '|'-joined text — the same
-    value in any batch format."""
+    """An int key buckets as key % nb, several int columns as
+    (a·2654435761 + b) mod 2^64 folded left, then % nb, a string key
+    as crc32(utf-8) % nb, a key with a non-int column as crc32 of its
+    '|'-joined text — the same value in any batch format."""
     import zlib
 
     import pandas as pd
@@ -129,6 +125,30 @@ def test_bucket_ids_hash_contract():
             for w, i in zip(words, [1, 2, 3])]
     got = dd.bucket_ids([pd.Series(words), pd.Series([1, 2, 3])], 13)
     assert got.tolist() == want
+    # several int columns, in uint64 arithmetic: always in [0, nb),
+    # for negative ids and ids near 2^62 too
+    a = np.array([-7, 0, 5, 2**62 + 11, -(2**62), 2**63 - 1], np.int64)
+    b = np.array([3, -1, 2**62 - 1, 9, 2**40, -(2**63)], np.int64)
+    c = np.array([1, -2, 3, 4, 5, 6], np.int32)
+
+    def fold(cols, nb):
+        out = []
+        for t in zip(*cols):
+            h = int(t[0]) % 2**64
+            for x in t[1:]:
+                h = (h * 2654435761 + int(x)) % 2**64
+            out.append(h % nb)
+        return out
+
+    for cols in ((a, b), (a, b, c)):
+        for nb in (13, 2**31 - 1):
+            want = fold(cols, nb)
+            for fmt in (np.asarray, pd.Series,
+                        lambda x: pa.chunked_array([x])):
+                got = dd.bucket_ids([fmt(x) for x in cols], nb)
+                assert got.dtype == np.int32
+                assert got.tolist() == want
+                assert ((got >= 0) & (got < nb)).all()
 
 
 @pytest.mark.parametrize("rows", [1, 10**8])
